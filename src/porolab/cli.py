@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import diagnose, lambda_sweep, report_to_json
+from .analysis import _json_value, diagnose, lambda_sweep, report_to_json
 from .config import ExperimentConfig, load_config
 from .elliptic import GridFunction, write_gridfunction_csv
 from .errors import ConfigError, InvalidSequence, NoConvergence, PorolabError
@@ -74,14 +74,8 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _json_safe(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
-
-
 def _write_json(path: str, obj: dict, comment: str) -> None:
-    body = json.dumps({k: _json_safe(v) for k, v in obj.items()}, indent=2)
+    body = json.dumps({k: _json_value(v) for k, v in obj.items()}, indent=2)
     with open(path, "w", newline="") as fh:
         fh.write(f"# {comment}\n{body}\n")
 

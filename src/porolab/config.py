@@ -51,10 +51,9 @@ _KNOWN_KEYS = {
         "max_linear_iter",
         "max_eig_iter",
         "max_invert_iter",
-        "jacobi",
         "divergence_ceiling",
     },
-    "run": {"n_schedule", "stop_tol", "m"},
+    "run": {"n_schedule", "stop_tol"},
 }
 
 _DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -95,10 +94,8 @@ class ExperimentConfig:
     series_tail: str | None
     series_tail_exponent: float | None
     tolerances: Tolerances
-    jacobi: bool
     n_schedule: tuple[int, ...]
     stop_tol: float
-    tail_M: float | None
 
     def grid(self) -> Grid:
         return build_grid(
@@ -209,16 +206,6 @@ class _SectionReader:
         if val is not None and minimum is not None and val < minimum:
             raise ConfigError(f"{self.section}.{key} must be at least {minimum}")
         return val
-
-    def flag(self, key, default=False):
-        if key not in self.raw:
-            return default
-        text = self.raw[key].strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{self.section}.{key} must be a boolean")
 
     def real_list(self, key, default=None):
         if key not in self.raw:
@@ -336,7 +323,6 @@ def load_config(path: str) -> ExperimentConfig:
         ),
     )
     tols.validate()
-    jacobi = sol.flag("jacobi", default=False)
 
     run = _SectionReader(parser, "run")
     schedule = run.int_list("n_schedule", default=_DEFAULT_SCHEDULE)
@@ -345,7 +331,6 @@ def load_config(path: str) -> ExperimentConfig:
     ):
         raise ConfigError("run.n_schedule must be strictly increasing positive integers")
     stop_tol = run.real("stop_tol", default=1e-8, positive=True)
-    tail_M = run.real("m", positive=True)
 
     return ExperimentConfig(
         path=os.path.abspath(path),
@@ -379,8 +364,6 @@ def load_config(path: str) -> ExperimentConfig:
         series_tail=tail,
         series_tail_exponent=tail_exponent,
         tolerances=tols,
-        jacobi=jacobi,
         n_schedule=schedule,
         stop_tol=stop_tol,
-        tail_M=tail_M,
     )

@@ -260,9 +260,6 @@ class SparseOperator:
     face_x: np.ndarray
     face_y: np.ndarray | None = None
 
-    def apply_interior(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def quadratic_form(self, u: GridFunction) -> float:
         """u . A_h u . cellvol, the discrete energy (matrix route)."""
         v = u.interior()
@@ -352,7 +349,6 @@ def solve_linear(
     rhs: GridFunction,
     tol: float,
     max_iter: int | None = None,
-    jacobi: bool = False,
 ) -> GridFunction:
     """Conjugate gradient from a zero start to relative residual <= tol."""
     if tol <= 0:
@@ -363,10 +359,7 @@ def solve_linear(
         return GridFunction.zero(op.grid)
     n = op.grid.n_interior
     cap = max_iter if max_iter is not None else 10 * n
-    M = None
-    if jacobi:
-        M = sp.diags(1.0 / op.matrix.diagonal())
-    x, info = cg(op.matrix, b, x0=np.zeros(n), rtol=tol, atol=0.0, maxiter=cap, M=M)
+    x, info = cg(op.matrix, b, x0=np.zeros(n), rtol=tol, atol=0.0, maxiter=cap)
     if info != 0:
         raise NoConvergence(
             f"conjugate gradient did not reach tol={tol} within {cap} iterations"

@@ -37,13 +37,6 @@ ZONE_NOT_APPLICABLE = "NotApplicable"
 
 
 @dataclass(frozen=True, eq=False)
-class FlatZoneStats:
-    status: str
-    measure: float = 0.0
-    mean_gap: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
 class FlatZoneResult:
     """Zone where v reaches K, with the gap to sigma at a large order."""
 
@@ -72,7 +65,7 @@ class ApproximationRun:
     converged_u: GridFunction
     converged: bool
     schedule_exhausted: bool
-    flat_zone: FlatZoneStats
+    flat_zone: FlatZoneResult
 
     @property
     def executed(self) -> tuple[int, ...]:
@@ -208,14 +201,8 @@ def weak_residual(
         norms.append(1.0 + h1_norm(phi))
 
     G = np.vstack(pairings)  # row k: A_h phi_k . cellvol
-    acc = np.zeros(len(test_set))
-    power = u_int.copy()
-    for m in range(1, M_terms + 1):
-        if m > 1:
-            power = power * u_int
-        a_m = coeffs[m - 1]
-        if a_m != 0.0:
-            acc += a_m * (G @ power)
+    # sum_m a_m G u^m = G Q_M(u), so one Horner pass replaces M matvecs
+    acc = G @ series_mod._horner(coeffs, u_int)
     defects = np.abs(acc - np.asarray(loads)) / np.asarray(norms)
     return float(np.max(defects))
 
@@ -276,7 +263,7 @@ def converge(
         prev = u
 
     last_n = sup_hist[-1][0]
-    flat = _flat_zone_stats(prof, v, u_by_n[last_n])
+    flat = _flat_zone_result(prof, v, u_by_n[last_n], last_n)
     return ApproximationRun(
         profile=prof,
         v=v,
@@ -291,17 +278,32 @@ def converge(
     )
 
 
-def _flat_zone_stats(
-    prof: SeriesProfile, v: GridFunction, u_last: GridFunction
-) -> FlatZoneStats:
+def _flat_zone_result(
+    prof: SeriesProfile, v: GridFunction | None, u: GridFunction | None, n: int
+) -> FlatZoneResult:
+    """{v >= K} and the gap of u to sigma on it; v and u are read only if K is finite."""
     if not prof.K.is_finite:
-        return FlatZoneStats(status=ZONE_NOT_APPLICABLE)
+        reason = (
+            "boundary sum divergent"
+            if prof.K.is_divergent
+            else f"boundary sum {prof.K.status}"
+        )
+        return FlatZoneResult(status=ZONE_NOT_APPLICABLE, sigma=prof.sigma, detail=reason)
     mask = v.values >= prof.K.value
-    measure = float(np.count_nonzero(mask) * v.grid.cell_volume)
-    if measure == 0.0:
-        return FlatZoneStats(status=ZONE_OK, measure=0.0, mean_gap=0.0)
-    gap = float(np.mean(np.abs(u_last.values[mask] - prof.sigma)))
-    return FlatZoneStats(status=ZONE_OK, measure=measure, mean_gap=gap)
+    gap = (
+        float(np.mean(np.abs(u.values[mask] - prof.sigma))) if mask.any() else 0.0
+    )
+    return FlatZoneResult(
+        status=ZONE_OK,
+        measure=measure_above(v, prof.K.value),
+        mean_gap=gap,
+        zone_mask=GridFunction(grid=v.grid, values=mask.astype(float)),
+        v=v,
+        u=u,
+        sigma=prof.sigma,
+        K_value=prof.K.value,
+        n_large=n,
+    )
 
 
 def flat_zone(
@@ -317,32 +319,11 @@ def flat_zone(
     prof = series_mod.profile(
         seq, m_max=tols.m_max, tol=tols.tol_series, ceiling=tols.divergence_ceiling
     )
-    if not prof.K.is_finite:
-        reason = (
-            "boundary sum divergent"
-            if prof.K.is_divergent
-            else f"boundary sum {prof.K.status}"
-        )
-        return FlatZoneResult(status=ZONE_NOT_APPLICABLE, sigma=prof.sigma, detail=reason)
-    v = auxiliary_solution(problem, tols)
-    u = approximate_solution(seq, problem, n_large, tols, v=v)
-    mask = v.values >= prof.K.value
-    measure = float(np.count_nonzero(mask) * problem.grid.cell_volume)
-    gap = (
-        float(np.mean(np.abs(u.values[mask] - prof.sigma))) if mask.any() else 0.0
-    )
-    zone = GridFunction(grid=problem.grid, values=mask.astype(float))
-    return FlatZoneResult(
-        status=ZONE_OK,
-        measure=measure,
-        mean_gap=gap,
-        zone_mask=zone,
-        v=v,
-        u=u,
-        sigma=prof.sigma,
-        K_value=prof.K.value,
-        n_large=n_large,
-    )
+    v = u = None
+    if prof.K.is_finite:
+        v = auxiliary_solution(problem, tols)
+        u = approximate_solution(seq, problem, n_large, tols, v=v)
+    return _flat_zone_result(prof, v, u, n_large)
 
 
 @dataclass(frozen=True, eq=False)

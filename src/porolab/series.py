@@ -539,15 +539,6 @@ def _horner_with_derivative(coeffs: np.ndarray, s):
     return q, dq
 
 
-def _tighten_bracket(hi: np.ndarray, y: np.ndarray, a_m: float, m: int) -> None:
-    """Shrink ``hi`` in place using the bound root <= (y/a_m)^(1/m)."""
-    if not np.isfinite(a_m) or a_m <= 0.0:
-        return
-    with np.errstate(over="ignore"):
-        cap = (y / a_m) ** (1.0 / m) * (1.0 + 1e-9) + 1e-12
-    np.minimum(hi, cap, out=hi)
-
-
 def q_partial(seq: CoefficientSequence, n: int, s):
     """Partial sum Q_n(s) = sum_{m<=n} a_m s^m; strictly increasing for s > 0.
 
@@ -571,58 +562,69 @@ def q_partial_inverse(
 ):
     """Solve Q_n(s) = y for s >= 0 (elementwise for arrays).
 
-    Bisection on [0, min_m (y/a_m)^(1/m)] (each positive coefficient gives
-    an upper bound on the root) interleaved with safeguarded Newton steps; a
-    plain bisection step every other iteration keeps the bracket halving even
-    where Newton creeps (steep high-degree tails).  Stops when
-    |Q_n(s) - y| <= tol * max(1, y), or when the bracket collapses to a few
-    ulps, beyond which float64 cannot place the root any better.
+    Monotone Newton iteration.  Q_n has nonnegative coefficients, so it is
+    increasing and convex on s >= 0, and Newton started above the root
+    decreases monotonically onto it (Kelley, *Solving Nonlinear Equations
+    with Newton's Method*, SIAM 2003).  The start is the power cap
+    min_m (y/a_m)^(1/m) over m = 1, the powers of two and n: every positive
+    coefficient gives Q_n(s) >= a_m s^m, hence an upper bound on the root.
+    Where Q_n or Q_n' overflows, s is halved instead; from below the root a
+    Newton step lands above it again.  Only nodes that have not converged
+    are re-evaluated.  A node stops when |Q_n(s) - y| <= tol * max(1, y),
+    when a step moves s by at most 4 ulps, or when its residual above the
+    root stops falling: there float64 cannot place the root any better.  A
+    coefficient that overflows float64 raises DomainError: Q_n is then +inf
+    at every s > 0 and has no usable root.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    y_arr = np.asarray(y, dtype=float).ravel()
     if np.any(y_arr < 0):
         raise ValueError("y must be nonnegative")
     coeffs = seq.coefficients(n)
-    a1 = coeffs[0]
+    overflowed = np.flatnonzero(~np.isfinite(coeffs))
+    if overflowed.size:
+        m = int(overflowed[0]) + 1
+        raise DomainError(
+            f"coefficient a_{m} of {seq.label} overflows float64; "
+            f"Q_{n} cannot be inverted"
+        )
     eps = np.finfo(float).eps
 
-    lo = np.zeros_like(y_arr)
-    # Q_n(s) >= a_m s^m for every m, so each positive coefficient caps the
-    # root at (y/a_m)^(1/m); sampling m at powers of two keeps the initial
-    # bracket tight even when y is astronomically large.
-    hi = y_arr / a1 + 1.0
-    m = 2
-    while m <= n:
-        _tighten_bracket(hi, y_arr, coeffs[m - 1], m)
-        m *= 2
-    if n > 1:
-        _tighten_bracket(hi, y_arr, coeffs[n - 1], n)
-    s = np.zeros_like(y_arr)
+    # in logs, so that y/a_m cannot overflow when a_m is tiny; a_1 > 0
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y_arr)
+    s = np.full_like(y_arr, np.inf)
+    for m in {1 << k for k in range(n.bit_length())} | {n}:
+        if coeffs[m - 1] > 0.0:
+            np.minimum(s, np.exp((log_y - math.log(coeffs[m - 1])) / m), out=s)
     target = tol * np.maximum(1.0, y_arr)
-    done = y_arr == 0.0
+    active = np.flatnonzero(y_arr > 0.0)
+    # Above the root, exact Newton lowers the residual at every step.  A
+    # residual that fails to drop below the least one seen above the root is
+    # rounding noise of the Horner evaluation: the float64 floor for the node.
+    least = np.full(active.size, np.inf)
 
-    for it in range(max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
-            q, dq = _horner_with_derivative(coeffs, s)
-            f = q - y_arr
-        done = done | (np.abs(f) <= target) | (hi - lo <= 4.0 * eps * np.maximum(1.0, hi))
-        if done.all():
+    for _ in range(max_iter):
+        if not active.size:
             break
-        hi = np.where(~done & (f > 0), s, hi)
-        lo = np.where(~done & (f < 0), s, lo)
-        mid = 0.5 * (lo + hi)
-        if it % 2:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                newton = s - f / dq
-            ok = np.isfinite(newton) & (newton > lo) & (newton < hi)
-            step = np.where(ok, newton, mid)
-        else:
-            step = mid
-        s = np.where(done, s, step)
-    else:
+        x = s[active]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, dq = _horner_with_derivative(coeffs, x)
+            f = q - y_arr[active]
+            finite = np.isfinite(q) & np.isfinite(dq)
+            step = np.where(finite, f / dq, 0.5 * x)
+        hit = np.abs(f) <= target[active]
+        floor = finite & (f >= least)
+        # a node that meets the residual still takes the Newton step already
+        # computed, which squares its error at no extra cost
+        s[active] = np.where(floor | (hit & ~finite), x, x - step)
+        keep = ~(hit | floor | (np.abs(step) <= 4.0 * eps * x))
+        active = active[keep]
+        least = np.where(finite & (f > 0.0), np.minimum(least, f), least)[keep]
+    if active.size:
         raise NoConvergence(
             f"partial-sum inversion did not reach tol={tol} in {max_iter} iterations"
         )

@@ -49,12 +49,10 @@ m_max = 64
 [solver]
 tol_linear = 1e-11
 tol_eig = 1e-9
-jacobi = yes
 
 [run]
 n_schedule = 1 2 4 8
 stop_tol = 1e-7
-m = 1.5
 """
 
 
@@ -92,9 +90,8 @@ def test_full_config_values(tmp_path):
     assert cfg.series_ratio == 0.5
     assert cfg.tolerances.tol_linear == 1e-11
     assert cfg.tolerances.m_max == 64
-    assert cfg.jacobi is True
     assert cfg.n_schedule == (1, 2, 4, 8)
-    assert cfg.tail_M == 1.5
+    assert cfg.stop_tol == 1e-7
 
 
 def test_config_hash_is_sha256_of_bytes(tmp_path):

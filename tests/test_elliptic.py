@@ -265,15 +265,6 @@ def test_solve_zero_rhs_returns_exact_zero():
     assert np.all(v.values == 0.0)
 
 
-def test_solve_jacobi_matches_plain_cg():
-    g = build_grid(1, n_cells=64)
-    op = assemble_operator(g, ramp_field(g, base=0.5, slope_x=2.0))
-    f = GridFunction(grid=g, values=np.ones(g.node_shape))
-    plain = solve_linear(op, f, tol=TOL)
-    pre = solve_linear(op, f, tol=TOL, jacobi=True)
-    np.testing.assert_allclose(pre.values, plain.values, atol=1e-9)
-
-
 def test_solve_iteration_cap_raises():
     g = build_grid(1, n_cells=128)
     op = assemble_operator(g, constant_field(g))

@@ -11,7 +11,9 @@ from porolab.elliptic import (
     assemble_operator,
     build_grid,
     constant_field,
+    h1_norm,
     measure_above,
+    ramp_field,
     sup_norm,
 )
 from porolab.errors import BoundaryViolation, ConfigError, DomainError
@@ -158,6 +160,46 @@ def test_weak_residual_rejects_bad_truncation():
     u = approximate_solution(harmonic(), p, 2)
     with pytest.raises(ValueError):
         weak_residual(harmonic(), p, u, 0)
+
+
+def _weak_residual_by_powers(seq, problem, u, M_terms):
+    """Reference: one matvec per power, sum_m a_m <A_h u^m, phi> term by term."""
+    op = assemble_operator(problem.grid, problem.field)
+    vol = problem.grid.cell_volume
+    u_int = u.interior()
+    rhs = problem.rhs().interior()
+    coeffs = seq.coefficients(M_terms)
+    worst = 0.0
+    for phi in default_test_set(problem, op=op):
+        phi_int = phi.interior()
+        row = (op.matrix @ phi_int) * vol
+        acc = 0.0
+        power = u_int.copy()
+        for m in range(1, M_terms + 1):
+            if m > 1:
+                power = power * u_int
+            acc += coeffs[m - 1] * float(row @ power)
+        load = float(rhs @ phi_int) * vol
+        worst = max(worst, abs(acc - load) / (1.0 + h1_norm(phi)))
+    return worst
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weak_residual_matches_per_power_reference(dim):
+    if dim == 1:
+        g = build_grid(1, n_cells=24)
+    else:
+        g = build_grid(2, n_cells=12, n_cells_y=10)
+    field = ramp_field(g, base=1.0, slope_x=0.5, slope_y=0.25 * (dim - 1))
+    f = GridFunction(grid=g, values=np.full(g.node_shape, 3.0))
+    p = EllipticProblem(grid=g, field=field, f=f, lambda_scale=2.0)
+    for seq in (harmonic(), log_kind()):
+        u = approximate_solution(seq, p, 8)
+        for M in (1, 3, 8, 20):
+            ref = _weak_residual_by_powers(seq, p, u, M)
+            assert weak_residual(seq, p, u, M) == pytest.approx(
+                ref, rel=1e-12, abs=1e-13
+            )
 
 
 def test_weak_residual_sees_dropped_tail():

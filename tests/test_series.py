@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porolab.errors import DomainError, InvalidSequence
 from porolab.series import (
@@ -313,6 +315,53 @@ def test_q_partial_inverse_monotone_in_y():
     ys = np.linspace(0.0, 10.0, 50)
     ss = q_partial_inverse(seq, 9, ys)
     assert np.all(np.diff(ss) > 0)
+
+
+def test_q_partial_inverse_rejects_overflowing_coefficients():
+    # a_m = 1e10^m is +inf from m = 31 on, so Q_32 is +inf at every s > 0
+    seq = geometric(1e10)
+    assert q_partial_inverse(seq, 16, 0.125) == pytest.approx(1e-10 / 9, rel=1e-9)
+    for n, y in ((32, 0.125), (64, 1.0)):
+        with pytest.raises(DomainError, match="a_31 "):
+            q_partial_inverse(seq, n, y)
+
+
+def _inversion_slack(seq, n, y, s, tol):
+    """Distance to the exact root allowed by |Q_n(s) - y| <= tol * max(1, y)."""
+    dq = np.array([q_derivative(seq, float(x), n=n) for x in s])
+    return tol * np.maximum(1.0, y) / dq + 4 * np.finfo(float).eps * s
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    head=_POSITIVE,
+    middle=st.lists(st.one_of(st.just(0.0), _POSITIVE), max_size=4),
+    last=st.lists(_POSITIVE, min_size=2, max_size=2),
+    tail=st.sampled_from(["repeat-ratio", "power-law"]),
+    n=st.integers(1, 1023),
+    ys=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+)
+def test_q_partial_inverse_properties(head, middle, last, tail, n, ys):
+    tol = 1e-12
+    seq = custom([head, *middle, *last], tail=tail)
+    ys = np.sort(np.asarray(ys))
+    coeffs = seq.coefficients(n + 1)
+    if not np.all(np.isfinite(coeffs[:n])):
+        with pytest.raises(DomainError):
+            q_partial_inverse(seq, n, ys, tol=tol)
+        return
+    s = q_partial_inverse(seq, n, ys, tol=tol)
+    assert np.all(np.abs(q_partial(seq, n, s) - ys) <= tol * np.maximum(1.0, ys))
+    slack = _inversion_slack(seq, n, ys, s, tol)
+    assert np.all(np.diff(s) >= -(slack[1:] + slack[:-1]))
+    if np.isfinite(coeffs[n]):
+        s_next = q_partial_inverse(seq, n + 1, ys, tol=tol)
+        assert np.all(
+            s_next <= s + slack + _inversion_slack(seq, n + 1, ys, s_next, tol)
+        )
 
 
 # ---------------------------------------------------------------------------
