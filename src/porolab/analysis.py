@@ -9,7 +9,8 @@ two thresholds
 
 and the load factor is classified against the bracket.  Threshold equality is
 never decided by float luck: a small relative band around each threshold is
-reported as Indeterminate.
+reported as Indeterminate.  ``half_resolution`` restricts a problem to
+every other node, so a second ``diagnose`` shows how the bracket moves with h.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .elliptic import (
     GridFunction,
     CoefficientField,
     Grid,
-    assemble_operator,
     measure_above,
-    solve_linear,
     sup_norm,
 )
 from .params import Tolerances
+from .pipeline import solve_unit_load
 from .series import CoefficientSequence, SeriesProfile
 from .spectral import principal_eigenpair
 
@@ -44,12 +44,7 @@ _VERDICT_ORDER = {VERDICT_EXISTS: 0, VERDICT_INDETERMINATE: 1, VERDICT_NONEXIST:
 
 @dataclass(frozen=True, eq=False)
 class DiagnosisReport:
-    """Thresholds and verdict for one problem at its configured load factor.
-
-    ``lambda1_coarse``/``sup_v1_coarse`` repeat the two computed quantities on
-    a half-resolution grid when one exists, so the user can see the
-    discretization sensitivity of the bracket.
-    """
+    """Thresholds and verdict for one problem at its configured load factor."""
 
     series_profile: SeriesProfile
     verdict: str
@@ -62,9 +57,6 @@ class DiagnosisReport:
     lambda_nonexist: float | None = None
     flat_zone_measure: float = 0.0
     detail: str = ""
-    sup_v1_coarse: float | None = None
-    lambda1_coarse: float | None = None
-    v1: GridFunction | None = None
 
 
 def classify(
@@ -88,8 +80,11 @@ def classify(
     return VERDICT_INDETERMINATE
 
 
-def _coarse_problem(problem: EllipticProblem) -> EllipticProblem | None:
-    """Half-resolution restriction of the problem by nodal subsampling."""
+def half_resolution(problem: EllipticProblem) -> EllipticProblem | None:
+    """Half-resolution restriction of the problem by nodal subsampling.
+
+    None when an axis has an odd cell count or fewer than 8 cells.
+    """
     g = problem.grid
     if g.nx % 2 or g.nx < 8:
         return None
@@ -122,30 +117,16 @@ def _coarse_problem(problem: EllipticProblem) -> EllipticProblem | None:
     )
 
 
-def _thresholds(problem: EllipticProblem, tols: Tolerances):
-    """One linear solve at unit load plus one eigensolve."""
-    op = assemble_operator(problem.grid, problem.field)
-    v1 = solve_linear(
-        op, problem.f, tols.tol_linear, max_iter=tols.max_linear_iter
-    )
-    sup_v1 = sup_norm(v1)
-    pair = principal_eigenpair(
-        op,
-        problem.f,
-        tols.tol_eig,
-        inner_tol=min(tols.tol_linear, tols.tol_eig * 1e-2),
-        max_iter=tols.max_eig_iter,
-        max_linear_iter=tols.max_linear_iter,
-    )
-    return v1, sup_v1, pair.lambda1
-
-
 def diagnose(
     seq: CoefficientSequence,
     problem: EllipticProblem,
     tols: Tolerances | None = None,
 ) -> DiagnosisReport:
-    """Full classification of (sequence, problem) at the configured load."""
+    """Full classification of (sequence, problem) at the configured load.
+
+    Once K is finite, one unit-load solve gives v1 and sup v1, and one
+    eigensolve on the same operator gives lambda1; nothing else is solved.
+    """
     tols = tols if tols is not None else Tolerances()
     tols.validate()
     prof = series_mod.profile(
@@ -180,16 +161,20 @@ def diagnose(
         )
 
     K = prof.K.value
-    v1, sup_v1, lambda1 = _thresholds(problem, tols)
+    op, v1 = solve_unit_load(problem, tols)
+    sup_v1 = sup_norm(v1)
+    lambda1 = principal_eigenpair(
+        op,
+        problem.f,
+        tols.tol_eig,
+        inner_tol=min(tols.tol_linear, tols.tol_eig * 1e-2),
+        max_iter=tols.max_eig_iter,
+        max_linear_iter=tols.max_linear_iter,
+    ).lambda1
     lambda_exist = K / sup_v1
     lambda_nonexist = K * lambda1
     verdict = classify(lam, lambda_exist, lambda_nonexist, tols.classification_band)
     flat = measure_above(v1.scaled(lam), K)
-
-    sup_c = lam1_c = None
-    coarse = _coarse_problem(problem)
-    if coarse is not None:
-        _, sup_c, lam1_c = _thresholds(coarse, tols)
 
     return DiagnosisReport(
         verdict=verdict,
@@ -198,9 +183,6 @@ def diagnose(
         lambda_exist=lambda_exist,
         lambda_nonexist=lambda_nonexist,
         flat_zone_measure=flat,
-        sup_v1_coarse=sup_c,
-        lambda1_coarse=lam1_c,
-        v1=v1,
         **base,
     )
 

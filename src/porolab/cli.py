@@ -13,12 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .analysis import _json_value, diagnose, lambda_sweep, report_to_json
+from .analysis import (
+    _json_value,
+    diagnose,
+    half_resolution,
+    lambda_sweep,
+    report_to_json,
+)
 from .config import ExperimentConfig, load_config
 from .elliptic import GridFunction, write_gridfunction_csv
 from .errors import ConfigError, InvalidSequence, NoConvergence, PorolabError
@@ -82,7 +89,10 @@ def _write_json(path: str, obj: dict, comment: str) -> None:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    report = diagnose(cfg.sequence(), cfg.problem(), cfg.tolerances)
+    seq, problem = cfg.sequence(), cfg.problem()
+    report = diagnose(seq, problem, cfg.tolerances)
+    half = half_resolution(problem) if report.lambda1 is not None else None
+    coarse = diagnose(seq, half, cfg.tolerances) if half is not None else None
     print(f"verdict: {report.verdict}")
     print(
         "bracket: lambda_exist="
@@ -90,12 +100,12 @@ def _cmd_analyze(args) -> int:
         + " lambda_nonexist="
         + _fmt(report.lambda_nonexist)
     )
-    if report.lambda1_coarse is not None:
+    if coarse is not None:
         print(
             "half-resolution check: delta(sup_v1)="
-            + _fmt(report.sup_v1 - report.sup_v1_coarse)
+            + _fmt(report.sup_v1 - coarse.sup_v1)
             + " delta(lambda1)="
-            + _fmt(report.lambda1 - report.lambda1_coarse)
+            + _fmt(report.lambda1 - coarse.lambda1)
         )
     text = report_to_json(report, comment=_comment(cfg))
     if args.out:
@@ -154,8 +164,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _summary_path(out: str) -> str:
-    base, ext = out.rsplit(".", 1) if "." in out else (out, "")
-    return f"{base}.json" if ext else f"{out}.json"
+    return os.path.splitext(out)[0] + ".json"
 
 
 def _cmd_flatzone(args) -> int:

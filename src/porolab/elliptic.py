@@ -350,12 +350,18 @@ def solve_linear(
     tol: float,
     max_iter: int | None = None,
 ) -> GridFunction:
-    """Conjugate gradient from a zero start to relative residual <= tol."""
+    """Conjugate gradient from a zero start to relative residual <= tol.
+
+    The answer is accepted when its componentwise (Oettli-Prager) backward
+    error max_i |b - A x|_i / (|A| |x| + |b|)_i is at most 10 * tol: x then
+    solves a system whose every entry is that close to A and b.  The relative
+    residual would not do: float64 CG stalls near eps * cond(A), which grows
+    like h^-2 (about 1.3e-11 on a 256^2 grid), while this stays near eps.
+    """
     if tol <= 0:
         raise ConfigError("solver.tol_linear must be positive")
     b = rhs.interior()
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
+    if not np.any(b):
         return GridFunction.zero(op.grid)
     n = op.grid.n_interior
     cap = max_iter if max_iter is not None else 10 * n
@@ -364,10 +370,13 @@ def solve_linear(
         raise NoConvergence(
             f"conjugate gradient did not reach tol={tol} within {cap} iterations"
         )
-    rel = float(np.linalg.norm(op.matrix @ x - b)) / norm_b
-    if rel > 10 * tol:
+    scale = abs(op.matrix) @ np.abs(x) + np.abs(b)
+    resid = np.abs(op.matrix @ x - b)
+    # a row with zero scale has zero residual, so dividing it by 1 is exact
+    berr = float(np.max(resid / np.where(scale > 0.0, scale, 1.0)))
+    if berr > 10 * tol:
         raise NoConvergence(
-            f"conjugate gradient returned residual {rel:.3e} above tol={tol}"
+            f"conjugate gradient returned backward error {berr:.3e} above tol={tol}"
         )
     return GridFunction.from_interior(op.grid, x)
 
@@ -422,10 +431,10 @@ def gridfunction_to_csv(u: GridFunction, comment: str | None = None) -> str:
             lines.append(f"{x:.16e},{val:.16e}")
     else:
         lines.append("x,y,value")
-        xs, ys = g.xs, g.ys
-        for j in range(g.ny + 1):
-            for i in range(g.nx + 1):
-                lines.append(f"{xs[i]:.16e},{ys[j]:.16e},{u.values[j, i]:.16e}")
+        xs = [f"{x:.16e}" for x in g.xs]
+        for y, row in zip(g.ys, u.values.tolist()):
+            y_s = f"{y:.16e}"
+            lines.extend(f"{x_s},{y_s},{val:.16e}" for x_s, val in zip(xs, row))
     return "\n".join(lines) + "\n"
 
 

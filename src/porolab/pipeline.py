@@ -1,10 +1,12 @@
 """Constructive approximation u_n = Q_n^{-1}(v) and its monitors.
 
-One linear solve produces the auxiliary solution v; every approximation order
+One linear solve at unit load gives v1 (``solve_unit_load``), and the
+auxiliary solution is v = lambda * v1 by linearity; every approximation order
 n then only inverts the partial sum nodewise.  The module tracks sup/energy
 histories, verifies the truncated weak formulation against a small test-
-function set, measures flat zones (nodes where v reaches the boundary sum K),
-and checks the tail-decay envelope that forces u <= sigma in the limit.
+function set that includes v1, measures flat zones (nodes where v reaches the
+boundary sum K), and checks the tail-decay envelope that forces u <= sigma in
+the limit.  No eigensolve runs here.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .elliptic import (
     solve_linear,
     sup_norm,
 )
-from .errors import ConfigError, DomainError, InvalidWeight
+from .errors import ConfigError, DomainError
 from .params import Tolerances
 from .series import CoefficientSequence, SeriesProfile, q_partial_inverse
-from .spectral import principal_eigenpair
 
 ZONE_OK = "OK"
 ZONE_NOT_APPLICABLE = "NotApplicable"
@@ -72,16 +73,14 @@ class ApproximationRun:
         return tuple(n for n, _ in self.sup_history)
 
 
-def auxiliary_solution(
-    problem: EllipticProblem, tols: Tolerances | None = None, op: SparseOperator | None = None
-) -> GridFunction:
-    """v solving -div(A grad v) = lambda_scale * f with zero boundary."""
+def solve_unit_load(
+    problem: EllipticProblem, tols: Tolerances | None = None
+) -> tuple[SparseOperator, GridFunction]:
+    """Assemble A_h once and solve A_h v1 = f; every load's v is lambda * v1."""
     tols = tols if tols is not None else Tolerances()
-    if op is None:
-        op = assemble_operator(problem.grid, problem.field)
-    return solve_linear(
-        op, problem.rhs(), tols.tol_linear, max_iter=tols.max_linear_iter
-    )
+    op = assemble_operator(problem.grid, problem.field)
+    v1 = solve_linear(op, problem.f, tols.tol_linear, max_iter=tols.max_linear_iter)
+    return op, v1
 
 
 def approximate_solution(
@@ -91,12 +90,12 @@ def approximate_solution(
     tols: Tolerances | None = None,
     v: GridFunction | None = None,
 ) -> GridFunction:
-    """u_n = Q_n^{-1}(v) nodewise; v is solved once and reusable across n."""
+    """u_n = Q_n^{-1}(v) nodewise; v defaults to lambda * v1 and is reusable across n."""
     if n < 1:
         raise ValueError("approximation order n must be >= 1")
     tols = tols if tols is not None else Tolerances()
     if v is None:
-        v = auxiliary_solution(problem, tols)
+        v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
     # maximum principle gives v >= 0 up to solver tolerance; clamp roundoff
     y = np.maximum(v.values, 0.0)
     u = q_partial_inverse(
@@ -105,20 +104,14 @@ def approximate_solution(
     return GridFunction(grid=problem.grid, values=u)
 
 
-def default_test_set(
-    problem: EllipticProblem,
-    tols: Tolerances | None = None,
-    op: SparseOperator | None = None,
-) -> list[GridFunction]:
-    """Hats at five interior nodes, the first sine mode, and phi1 when f > 0.
+def default_test_set(v1: GridFunction) -> list[GridFunction]:
+    """Hats at five interior nodes, the first sine mode, and v1 unless it is zero.
 
-    Local spikes catch pointwise imbalance, the sine mode and eigenfunction
-    catch global imbalance.
+    Local spikes catch pointwise imbalance; the sine mode and v1 catch global
+    imbalance.  Since A_h v1 = f, the v1 row of the weak residual tests the
+    f-weighted mean of Q_M(u) - v.
     """
-    tols = tols if tols is not None else Tolerances()
-    g = problem.grid
-    if op is None:
-        op = assemble_operator(g, problem.field)
+    g = v1.grid
     out: list[GridFunction] = []
     if g.dim == 1:
         for q in (1, 2, 3, 4, 5):
@@ -140,21 +133,10 @@ def default_test_set(
             np.pi * (yc - g.y0) / (g.y1 - g.y0)
         )
     sine = sine.copy()
-    mask = problem.grid.boundary_mask()
-    sine[mask] = 0.0  # sin(pi) is only zero up to roundoff
+    sine[g.boundary_mask()] = 0.0  # sin(pi) is only zero up to roundoff
     out.append(GridFunction(grid=g, values=sine))
-    try:
-        pair = principal_eigenpair(
-            op,
-            problem.f,
-            tols.tol_eig,
-            inner_tol=min(tols.tol_linear, tols.tol_eig * 1e-2),
-            max_iter=tols.max_eig_iter,
-            max_linear_iter=tols.max_linear_iter,
-        )
-        out.append(pair.phi1)
-    except InvalidWeight:
-        pass  # f = 0 has no eigenpair; hats and sine still apply
+    if np.any(v1.values):  # f = 0 gives v1 = 0, which tests nothing
+        out.append(v1)
     return out
 
 
@@ -171,16 +153,18 @@ def weak_residual(
 
     For each phi:  | sum_{m<=M} a_m <A grad u^m, grad phi> - <lambda f, phi> |
     normalized by 1 + ||phi||_H1; returns the worst case.  The energy pairing
-    reuses the assembled face coefficients, so at u = u_n with M = n the value
-    collapses to the linear solver defect plus inversion tolerance.
+    reuses the assembled operator, so at u = u_n with M = n the value
+    collapses to the linear solver defect plus inversion tolerance.  Without
+    a test set, one unit-load solve supplies the operator, v1 and
+    ``default_test_set(v1)``.
     """
     if M_terms < 1:
         raise ValueError("M_terms must be >= 1")
-    tols = tols if tols is not None else Tolerances()
-    if op is None:
-        op = assemble_operator(problem.grid, problem.field)
     if test_set is None:
-        test_set = default_test_set(problem, tols, op=op)
+        op, v1 = solve_unit_load(problem, tols)
+        test_set = default_test_set(v1)
+    elif op is None:
+        op = assemble_operator(problem.grid, problem.field)
     if not test_set:
         return 0.0
     vol = problem.grid.cell_volume
@@ -234,9 +218,9 @@ def converge(
     prof = series_mod.profile(
         seq, m_max=tols.m_max, tol=tols.tol_series, ceiling=tols.divergence_ceiling
     )
-    op = assemble_operator(problem.grid, problem.field)
-    v = auxiliary_solution(problem, tols, op=op)
-    test_set = default_test_set(problem, tols, op=op) if with_residuals else None
+    op, v1 = solve_unit_load(problem, tols)
+    v = v1.scaled(problem.lambda_scale)
+    test_set = default_test_set(v1) if with_residuals else None
 
     u_by_n: dict[int, GridFunction] = {}
     sup_hist = []
@@ -321,7 +305,7 @@ def flat_zone(
     )
     v = u = None
     if prof.K.is_finite:
-        v = auxiliary_solution(problem, tols)
+        v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
         u = approximate_solution(seq, problem, n_large, tols, v=v)
     return _flat_zone_result(prof, v, u, n_large)
 

@@ -15,6 +15,7 @@ from porolab.analysis import (
     VERDICT_TRIVIAL,
     classify,
     diagnose,
+    half_resolution,
     lambda_sweep,
     report_to_dict,
     report_to_json,
@@ -105,7 +106,7 @@ def test_diagnose_sigma_zero_is_trivial_and_solver_free(monkeypatch):
     def boom(*a, **k):  # pragma: no cover - would mean a solve happened
         raise AssertionError("no linear solve may run when sigma = 0")
 
-    monkeypatch.setattr(analysis, "solve_linear", boom)
+    monkeypatch.setattr(analysis, "solve_unit_load", boom)
     m = np.arange(1, 61, dtype=float)
     report = diagnose(custom((m**m).tolist()), _unit_problem())
     assert report.verdict == VERDICT_TRIVIAL
@@ -116,7 +117,7 @@ def test_diagnose_inconclusive_k_stays_indeterminate(monkeypatch):
     def boom(*a, **k):  # pragma: no cover
         raise AssertionError("no linear solve may run when K is undecided")
 
-    monkeypatch.setattr(analysis, "solve_linear", boom)
+    monkeypatch.setattr(analysis, "solve_unit_load", boom)
     # integral-test enclosure too wide at m_max=256, so K stays undecided
     report = diagnose(power_law(-2.0), _unit_problem())
     assert report.verdict == VERDICT_INDETERMINATE
@@ -143,16 +144,20 @@ def test_diagnose_threshold_scaling_in_f():
 
 
 def test_diagnose_reports_coarse_pair():
-    report = diagnose(log_kind(), _unit_problem(n=64))
-    assert report.sup_v1_coarse is not None
-    assert report.lambda1_coarse is not None
+    p = _unit_problem(n=64)
+    report = diagnose(log_kind(), p)
+    coarse = diagnose(log_kind(), half_resolution(p))
+    assert coarse.grid_n == 32
+    assert coarse.lambda1 is not None
     # half resolution shifts sup v1 by O(h^2) at most
-    assert report.sup_v1_coarse == pytest.approx(report.sup_v1, rel=1e-2)
+    assert coarse.sup_v1 == pytest.approx(report.sup_v1, rel=1e-2)
+    assert coarse.lambda1 == pytest.approx(report.lambda1, rel=1e-2)
 
 
 def test_diagnose_skips_coarse_pair_on_odd_grid():
-    report = diagnose(log_kind(), _unit_problem(n=65))
-    assert report.sup_v1_coarse is None and report.lambda1_coarse is None
+    assert half_resolution(_unit_problem(n=65)) is None
+    assert half_resolution(_unit_problem(n=6)) is None
+    assert half_resolution(_unit_problem(n=16, dim=2)) is not None
 
 
 def test_diagnose_flat_zone_measure_grows_with_load():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +304,88 @@ def test_cli_flatzone_not_applicable(tmp_path, capsys):
     # mask CSV still written, all zeros
     data = [l for l in out.read_text().splitlines()[2:]]
     assert all(float(l.split(",")[1]) == 0.0 for l in data)
+
+
+@pytest.mark.parametrize("out", ["./zone", "run.v2/zone"])
+def test_cli_flatzone_summary_for_out_without_extension(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    cfgfile = _write(tmp_path, FLAT_INI)
+    assert entry(["flatzone", "--config", cfgfile, "--n-max", "10", "--out", out]) == 0
+    capsys.readouterr()
+    assert (tmp_path / out).is_file()
+    assert (tmp_path / (out + ".json")).is_file()
+    assert not (tmp_path / ".json").exists() and not (tmp_path / "run.json").exists()
+
+
+BUDGET_INI = """
+[domain]
+dim = 2
+n_cells = 16
+
+[data]
+lambda_scale = 40.0
+
+[series]
+kind = log
+"""
+
+
+def _json_body(path):
+    return json.loads(
+        "\n".join(l for l in path.read_text().splitlines() if not l.startswith("#"))
+    )
+
+
+def _count_calls(monkeypatch, module_name, name):
+    """Wrap ``name`` in every porolab module that binds it; return the call log."""
+    original = getattr(sys.modules[module_name], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "porolab" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command,extra,eigensolves,linear_solves",
+    [
+        ("analyze", [], 2, 2),
+        ("sweep", ["--lambda-min", "1", "--lambda-max", "50", "--steps", "5"], 1, 1),
+        ("solve", ["--n", "64"], 0, 1),
+        ("flatzone", ["--n-max", "64"], 0, 1),
+    ],
+)
+def test_cli_solver_call_budget(
+    tmp_path, monkeypatch, capsys, command, extra, eigensolves, linear_solves
+):
+    eigs = _count_calls(monkeypatch, "porolab.spectral", "principal_eigenpair")
+    solves = _count_calls(monkeypatch, "porolab.elliptic", "solve_linear")
+    cfgfile = _write(tmp_path, BUDGET_INI)
+    out = [] if command == "analyze" else ["--out", str(tmp_path / "out.csv")]
+    assert entry([command, "--config", cfgfile, *extra, *out]) == 0
+    stdout = capsys.readouterr().out
+    assert (len(eigs), len(solves)) == (eigensolves, linear_solves)
+    if command == "analyze":  # the second pair pays for this line
+        assert "half-resolution check: delta(sup_v1)=" in stdout
+
+
+def test_cli_analyze_and_flatzone_share_the_flat_zone(tmp_path, capsys):
+    cfgfile = _write(tmp_path, BUDGET_INI)
+    report_path, zone_path = tmp_path / "r.json", tmp_path / "zone.csv"
+    assert entry(["analyze", "--config", cfgfile, "--out", str(report_path)]) == 0
+    assert entry(
+        ["flatzone", "--config", cfgfile, "--n-max", "64", "--out", str(zone_path)]
+    ) == 0
+    capsys.readouterr()
+    measure = _json_body(report_path)["flat_zone_measure"]
+    assert measure > 0.0
+    assert _json_body(tmp_path / "zone.json")["measure"] == measure
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -273,6 +273,35 @@ def test_solve_iteration_cap_raises():
         solve_linear(op, f, tol=1e-12, max_iter=1)
 
 
+def test_solve_accepts_float64_limit_on_fine_grid():
+    # float64 CG stalls at relative residual about 1.3e-11 here, above
+    # 10 * tol; its componentwise backward error is about 2e-14
+    g = build_grid(2, n_cells=256)
+    op = assemble_operator(g, constant_field(g))
+    f = GridFunction(grid=g, values=np.ones(g.node_shape))
+    v = solve_linear(op, f, tol=1e-12)
+    assert sup_norm(v) == pytest.approx(0.07367, rel=1e-3)
+
+
+def test_solve_rejects_perturbed_answer(monkeypatch):
+    import porolab.elliptic as elliptic
+
+    real_cg = elliptic.cg
+    signs = np.random.default_rng(3).choice([-1.0, 1.0], size=127)
+
+    def sloppy_cg(*args, **kwargs):
+        x, info = real_cg(*args, **kwargs)
+        return x * (1.0 + 1e-9 * signs), info
+
+    g = build_grid(1, n_cells=128)
+    op = assemble_operator(g, constant_field(g))
+    f = GridFunction(grid=g, values=np.full(g.node_shape, 2.0))
+    solve_linear(op, f, tol=1e-12)  # the exact CG answer passes
+    monkeypatch.setattr(elliptic, "cg", sloppy_cg)
+    with pytest.raises(NoConvergence, match="backward error"):
+        solve_linear(op, f, tol=1e-12)
+
+
 def test_solution_has_zero_boundary():
     g, v = _poisson_1d(32, lambda x: np.full_like(x, 1.0))
     require_zero_boundary(v)  # must not raise

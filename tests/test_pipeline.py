@@ -8,7 +8,6 @@ import pytest
 from porolab.elliptic import (
     EllipticProblem,
     GridFunction,
-    assemble_operator,
     build_grid,
     constant_field,
     h1_norm,
@@ -22,11 +21,11 @@ from porolab.pipeline import (
     ZONE_NOT_APPLICABLE,
     ZONE_OK,
     approximate_solution,
-    auxiliary_solution,
     converge,
     default_test_set,
     flat_zone,
     history_csv,
+    solve_unit_load,
     tail_decay_check,
     weak_residual,
 )
@@ -41,6 +40,11 @@ def _problem(f_value=2.0, lambda_scale=1.0, n=128):
     )
 
 
+def _aux(problem, tols=None):
+    """v = lambda * v1 from one unit-load solve."""
+    return solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
+
+
 # ---------------------------------------------------------------------------
 # auxiliary solution and single approximations
 # ---------------------------------------------------------------------------
@@ -48,21 +52,34 @@ def _problem(f_value=2.0, lambda_scale=1.0, n=128):
 
 def test_auxiliary_solution_constant_load():
     p = _problem(f_value=2.0)
-    v = auxiliary_solution(p)
+    v = _aux(p)
     exact = p.grid.xs * (1 - p.grid.xs)
     assert np.max(np.abs(v.values - exact)) <= 1e-10
 
 
 def test_auxiliary_solution_applies_lambda():
-    v1 = auxiliary_solution(_problem(lambda_scale=1.0))
-    v3 = auxiliary_solution(_problem(lambda_scale=3.0))
-    np.testing.assert_allclose(v3.values, 3 * v1.values, atol=1e-9)
+    # the unit-load solve ignores lambda; u_1 = v (a_1 = 1) shows it applied
+    _, v1 = solve_unit_load(_problem(lambda_scale=1.0))
+    _, v1_at_3 = solve_unit_load(_problem(lambda_scale=3.0))
+    np.testing.assert_array_equal(v1_at_3.values, v1.values)
+    u1 = approximate_solution(log_kind(), _problem(lambda_scale=3.0), 1)
+    np.testing.assert_allclose(u1.values, 3 * v1.values, atol=1e-9)
+
+
+def test_converge_v_is_lambda_times_unit_load():
+    p = _problem(f_value=32.0, lambda_scale=0.7)
+    _, v1 = solve_unit_load(p)
+    for run in (
+        converge(log_kind(), p, [1, 2], stop_tol=1e-8),
+        converge(log_kind(), p, [1], stop_tol=1e-8, with_residuals=False),
+    ):
+        np.testing.assert_array_equal(run.v.values, v1.scaled(0.7).values)
 
 
 def test_first_order_approximation_is_v_itself():
     # Q_1(s) = a_1 s with a_1 = 1, so u_1 = v
     p = _problem()
-    v = auxiliary_solution(p)
+    v = _aux(p)
     u1 = approximate_solution(log_kind(), p, 1, v=v)
     np.testing.assert_allclose(u1.values, v.values, atol=1e-11)
 
@@ -78,7 +95,7 @@ def test_second_order_approximation_midpoint_oracle():
 def test_approximations_decrease_with_order():
     p = _problem()
     tols = Tolerances()
-    v = auxiliary_solution(p, tols)
+    v = _aux(p, tols)
     prev = None
     for n in (1, 2, 3, 5, 9, 17):
         u = approximate_solution(log_kind(), p, n, tols, v=v)
@@ -89,7 +106,7 @@ def test_approximations_decrease_with_order():
 
 def test_sup_commutes_with_the_inversion():
     p = _problem(f_value=32.0)
-    v = auxiliary_solution(p)
+    v = _aux(p)
     u = approximate_solution(log_kind(), p, 7, v=v)
     assert sup_norm(u) == pytest.approx(
         q_partial_inverse(log_kind(), 7, sup_norm(v)), rel=1e-10
@@ -114,15 +131,18 @@ def test_approximation_rejects_bad_order():
 
 def test_default_test_set_members():
     p = _problem(f_value=1.0, n=32)
-    fns = default_test_set(p)
-    assert len(fns) == 7  # five hats, one sine mode, one eigenfunction
+    _, v1 = solve_unit_load(p)
+    fns = default_test_set(v1)
+    assert len(fns) == 7  # five hats, one sine mode, v1
+    assert fns[-1] is v1
     for phi in fns:
         assert np.all(phi.boundary_values() == 0.0)
 
 
-def test_default_test_set_skips_eigenfunction_for_zero_data():
+def test_default_test_set_skips_v1_for_zero_data():
     p = _problem(f_value=0.0, n=32)
-    fns = default_test_set(p)
+    _, v1 = solve_unit_load(p)
+    fns = default_test_set(v1)
     assert len(fns) == 6
 
 
@@ -164,13 +184,13 @@ def test_weak_residual_rejects_bad_truncation():
 
 def _weak_residual_by_powers(seq, problem, u, M_terms):
     """Reference: one matvec per power, sum_m a_m <A_h u^m, phi> term by term."""
-    op = assemble_operator(problem.grid, problem.field)
+    op, v1 = solve_unit_load(problem)
     vol = problem.grid.cell_volume
     u_int = u.interior()
     rhs = problem.rhs().interior()
     coeffs = seq.coefficients(M_terms)
     worst = 0.0
-    for phi in default_test_set(problem, op=op):
+    for phi in default_test_set(v1):
         phi_int = phi.interior()
         row = (op.matrix @ phi_int) * vol
         acc = 0.0
