@@ -36,7 +36,6 @@ from .spectral import principal_eigenpair
 VERDICT_EXISTS = "ExistsCertified"
 VERDICT_NONEXIST = "NonexistenceProven"
 VERDICT_INDETERMINATE = "Indeterminate"
-VERDICT_TRIVIAL = "TrivialOnly"
 VERDICT_ALL_DATA = "ExistsAllData"
 
 _VERDICT_ORDER = {VERDICT_EXISTS: 0, VERDICT_INDETERMINATE: 1, VERDICT_NONEXIST: 2}
@@ -126,12 +125,12 @@ def diagnose(
 
     Once K is finite, one unit-load solve gives v1 and sup v1, and one
     eigensolve on the same operator gives lambda1; nothing else is solved.
+    A datum that vanishes inside the domain gives v1 = 0: then u = 0 solves
+    every load and no eigensolve runs.
     """
     tols = tols if tols is not None else Tolerances()
     tols.validate()
-    prof = series_mod.profile(
-        seq, m_max=tols.m_max, tol=tols.tol_series, ceiling=tols.divergence_ceiling
-    )
+    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
     lam = problem.lambda_scale
     base = dict(
         series_profile=prof,
@@ -140,11 +139,6 @@ def diagnose(
         tolerances=tols,
     )
 
-    if prof.sigma == 0.0:
-        # only u = 0 fits under the ceiling sigma; no linear solve is needed
-        return DiagnosisReport(
-            verdict=VERDICT_TRIVIAL, detail="sigma = 0 forces the zero solution", **base
-        )
     if prof.K.is_divergent:
         return DiagnosisReport(
             verdict=VERDICT_ALL_DATA,
@@ -163,6 +157,15 @@ def diagnose(
     K = prof.K.value
     op, v1 = solve_unit_load(problem, tols)
     sup_v1 = sup_norm(v1)
+    if sup_v1 == 0.0:
+        return DiagnosisReport(
+            verdict=VERDICT_ALL_DATA,
+            sup_v1=sup_v1,
+            lambda_exist=math.inf,
+            lambda_nonexist=math.inf,
+            detail="unit-load solution v1 vanishes, so u = 0 solves every load",
+            **base,
+        )
     lambda1 = principal_eigenpair(
         op,
         problem.f,
@@ -213,9 +216,7 @@ def lambda_sweep(
     band = report.tolerances.classification_band
     rows = []
     for lam in lams:
-        if report.verdict == VERDICT_TRIVIAL:
-            rows.append((lam, VERDICT_TRIVIAL))
-        elif report.verdict == VERDICT_ALL_DATA:
+        if report.verdict == VERDICT_ALL_DATA:
             rows.append((lam, VERDICT_ALL_DATA))
         elif report.lambda_exist is None:
             rows.append((lam, VERDICT_INDETERMINATE))
@@ -255,7 +256,7 @@ def report_to_dict(report: DiagnosisReport) -> dict:
     t = report.tolerances
     return {
         "sigma": _json_value(prof.sigma),
-        "sigma_method": prof.sigma_method,
+        "sigma_method": "closed-form",
         "K_status": prof.K.status,
         "K_value": _json_value(prof.K.value),
         "K_tail_bound": _json_value(prof.K.tail_bound),

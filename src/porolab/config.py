@@ -51,7 +51,6 @@ _KNOWN_KEYS = {
         "max_linear_iter",
         "max_eig_iter",
         "max_invert_iter",
-        "divergence_ceiling",
     },
     "run": {"n_schedule", "stop_tol"},
 }
@@ -317,9 +316,6 @@ def load_config(path: str) -> ExperimentConfig:
         max_eig_iter=sol.integer("max_eig_iter", default=Tolerances.max_eig_iter, minimum=1),
         max_invert_iter=sol.integer(
             "max_invert_iter", default=Tolerances.max_invert_iter, minimum=1
-        ),
-        divergence_ceiling=sol.real(
-            "divergence_ceiling", default=Tolerances.divergence_ceiling, positive=True
         ),
     )
     tols.validate()

@@ -22,7 +22,6 @@ class Tolerances:
     max_linear_iter: int | None = None
     max_eig_iter: int = 500
     max_invert_iter: int = 200
-    divergence_ceiling: float = 1e12
 
     def validate(self) -> None:
         for name in ("tol_linear", "tol_eig", "tol_series", "tol_invert"):
@@ -34,8 +33,6 @@ class Tolerances:
             cap = getattr(self, name)
             if cap is not None and cap < 1:
                 raise ConfigError(f"solver.{name} must be at least 1")
-        if self.divergence_ceiling <= 0:
-            raise ConfigError("solver.divergence_ceiling must be positive")
 
     @property
     def classification_band(self) -> float:

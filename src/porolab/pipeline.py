@@ -215,9 +215,7 @@ def converge(
     if stop_tol <= 0:
         raise ConfigError("run.stop_tol must be positive")
 
-    prof = series_mod.profile(
-        seq, m_max=tols.m_max, tol=tols.tol_series, ceiling=tols.divergence_ceiling
-    )
+    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
     op, v1 = solve_unit_load(problem, tols)
     v = v1.scaled(problem.lambda_scale)
     test_set = default_test_set(v1) if with_residuals else None
@@ -300,9 +298,7 @@ def flat_zone(
     if n_large < 1:
         raise ValueError("n_large must be >= 1")
     tols = tols if tols is not None else Tolerances()
-    prof = series_mod.profile(
-        seq, m_max=tols.m_max, tol=tols.tol_series, ceiling=tols.divergence_ceiling
-    )
+    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
     v = u = None
     if prof.K.is_finite:
         v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)

@@ -1,9 +1,12 @@
 """Coefficient sequences and their power series.
 
 A sequence {a_m} (m >= 1, a_m >= 0, a_1 > 0, infinitely many positive terms)
-defines the nonlinearity Q(s) = sum a_m s^m.  This module estimates the radius
-of convergence sigma, decides whether the boundary sum sum a_m sigma^m
-converges (with a certificate, never a guess), and evaluates / inverts the
+defines the nonlinearity Q(s) = sum a_m s^m.  Every sequence carries its exact
+radius of convergence sigma, fixed by its tail rule: 1 for the harmonic, log
+and power-law kinds and for a power-law tail, 1/ratio for the geometric kind,
+and a_{L-1}/a_L for a repeat-ratio tail after L listed values.  From the shape
+of that tail this module decides whether the boundary sum sum a_m sigma^m
+converges (with a certificate, never a guess), and it evaluates / inverts the
 partial sums Q_n.  All operations are pure; sequences are immutable and safe
 to share.
 """
@@ -27,54 +30,32 @@ KIND_CUSTOM = "custom"
 TAIL_REPEAT_RATIO = "repeat-ratio"
 TAIL_POWER_LAW = "power-law"
 
-# Root-test window verdict factors: the estimate is declared 0 when the window
-# maximum of a_m^(1/m) reaches m_max / SIGMA_CUTOFF_FACTOR, and +inf when it
-# drops below SIGMA_CUTOFF_FACTOR / m_max.  Factorial-type decay has
-# a_m^(1/m) ~ e/m, so the infinity cutoff must sit above e/m_max; sequences
-# like m^m have a_m^(1/m) = m and trip the zero cutoff.
-SIGMA_CUTOFF_FACTOR = 4.0
-
 _Q_FULL_TERM_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Immutable coefficient sequence {a_m}, m >= 1.
+    """Immutable coefficient sequence {a_m}, m >= 1, with its radius sigma.
 
     ``values``/``tail``/``tail_exponent`` are only meaningful for the custom
-    kind; ``ratio`` for geometric; ``exponent`` for power-law.
-    ``sigma_closed_form`` is set for the built-in kinds and None for custom.
+    kind; ``ratio`` for geometric; ``exponent`` for power-law.  A sigma that
+    is 0 or +inf in float64 is rejected with InvalidSequence.
     """
 
     kind: str
+    sigma: float
     ratio: float | None = None
     exponent: float | None = None
     values: tuple[float, ...] | None = None
     tail: str | None = None
     tail_exponent: float | None = None
-    sigma_closed_form: float | None = None
 
-    def a(self, m: int) -> float:
-        """Coefficient a_m for a single index m >= 1."""
-        if m < 1:
-            raise ValueError("coefficient index must be >= 1")
-        if self.kind == KIND_HARMONIC:
-            return 1.0 / m
-        if self.kind == KIND_LOG:
-            return 1.0 if m == 1 else 1.0 / (m * (m - 1))
-        if self.kind == KIND_GEOMETRIC:
-            return self.ratio**m
-        if self.kind == KIND_POWER_LAW:
-            return float(m) ** self.exponent
-        # custom
-        vals = self.values
-        if m <= len(vals):
-            return vals[m - 1]
-        last = vals[-1]
-        length = len(vals)
-        if self.tail == TAIL_REPEAT_RATIO:
-            return last * (vals[-1] / vals[-2]) ** (m - length)
-        return last * (m / length) ** self.tail_exponent
+    def __post_init__(self):
+        if not 0.0 < self.sigma < math.inf:
+            raise InvalidSequence(
+                f"radius of convergence of {self.label} is {self.sigma!r} in "
+                "float64; it must be positive and finite"
+            )
 
     def coefficients(self, n: int) -> np.ndarray:
         """Vector (a_1, ..., a_n).  Overflowing entries become +inf."""
@@ -119,12 +100,12 @@ class CoefficientSequence:
 
 def harmonic() -> CoefficientSequence:
     """a_m = 1/m; radius 1, boundary sum divergent."""
-    return CoefficientSequence(kind=KIND_HARMONIC, sigma_closed_form=1.0)
+    return CoefficientSequence(kind=KIND_HARMONIC, sigma=1.0)
 
 
 def log_kind() -> CoefficientSequence:
     """a_1 = 1, a_m = 1/(m(m-1)) for m >= 2; radius 1, boundary sum 2."""
-    return CoefficientSequence(kind=KIND_LOG, sigma_closed_form=1.0)
+    return CoefficientSequence(kind=KIND_LOG, sigma=1.0)
 
 
 def geometric(ratio: float) -> CoefficientSequence:
@@ -132,7 +113,7 @@ def geometric(ratio: float) -> CoefficientSequence:
     if not (ratio > 0 and math.isfinite(ratio)):
         raise InvalidSequence("geometric ratio must be a positive finite real")
     return CoefficientSequence(
-        kind=KIND_GEOMETRIC, ratio=float(ratio), sigma_closed_form=1.0 / ratio
+        kind=KIND_GEOMETRIC, sigma=1.0 / ratio, ratio=float(ratio)
     )
 
 
@@ -141,7 +122,7 @@ def power_law(exponent: float) -> CoefficientSequence:
     if not math.isfinite(exponent):
         raise InvalidSequence("power-law exponent must be finite")
     return CoefficientSequence(
-        kind=KIND_POWER_LAW, exponent=float(exponent), sigma_closed_form=1.0
+        kind=KIND_POWER_LAW, sigma=1.0, exponent=float(exponent)
     )
 
 
@@ -153,10 +134,10 @@ def custom(
     """Finite list of leading coefficients plus a tail rule.
 
     ``repeat-ratio`` extends geometrically with the ratio of the last two
-    listed values; ``power-law`` extends with a_m = a_L (m/L)^p where p is
-    ``tail_exponent`` or, when omitted, is fitted to the last two values.
-    Zero-extension is not offered: a valid sequence needs infinitely many
-    positive terms.
+    listed values, so sigma = a_{L-1}/a_L; ``power-law`` extends with
+    a_m = a_L (m/L)^p where p is ``tail_exponent`` or, when omitted, is
+    fitted to the last two values, so sigma = 1.  Zero-extension is not
+    offered: a valid sequence needs infinitely many positive terms.
     """
     vals = tuple(float(v) for v in values)
     if not vals:
@@ -173,16 +154,19 @@ def custom(
         raise InvalidSequence(
             "tail rules need the last two listed values strictly positive"
         )
+    if tail == TAIL_REPEAT_RATIO:
+        return CoefficientSequence(
+            kind=KIND_CUSTOM, sigma=vals[-2] / vals[-1], values=vals, tail=tail
+        )
     p = tail_exponent
-    if tail == TAIL_POWER_LAW:
-        if p is None:
-            length = len(vals)
-            p = math.log(vals[-1] / vals[-2]) / math.log(length / (length - 1))
-        p = float(p)
-    else:
-        p = None
+    if p is None:
+        length = len(vals)
+        # logs of each value: their quotient may overflow or underflow
+        p = (math.log(vals[-1]) - math.log(vals[-2])) / math.log(length / (length - 1))
+    if not math.isfinite(p):
+        raise InvalidSequence("power-law tail exponent must be finite")
     return CoefficientSequence(
-        kind=KIND_CUSTOM, values=vals, tail=tail, tail_exponent=p
+        kind=KIND_CUSTOM, sigma=1.0, values=vals, tail=tail, tail_exponent=float(p)
     )
 
 
@@ -213,55 +197,12 @@ def make_sequence(kind: str, **params) -> CoefficientSequence:
 
 
 # ---------------------------------------------------------------------------
-# Radius of convergence
-# ---------------------------------------------------------------------------
-
-
-def radius_of_convergence(
-    seq: CoefficientSequence, m_max: int = 256
-) -> tuple[float, str]:
-    """Radius of convergence of sum a_m s^m, with a method tag.
-
-    Built-in kinds return their closed form.  Custom sequences get a
-    root-test surrogate: 1 over the maximum of a_m^(1/m) on a sliding window
-    ending at m_max.  Window maxima at or beyond m_max/4 report 0; below
-    4/m_max report +inf (the limsup is not computable from finitely many
-    terms, so extreme estimates are collapsed to the extreme radii).
-    """
-    if m_max < 16:
-        raise ValueError("m_max must be at least 16")
-    if seq.sigma_closed_form is not None:
-        return float(seq.sigma_closed_form), "closed-form"
-    window = max(8, m_max // 16)
-    lo = max(1, m_max - window + 1)
-    coeffs = seq.coefficients(m_max)
-    while True:
-        m = np.arange(lo, m_max + 1, dtype=float)
-        a = coeffs[lo - 1 : m_max]
-        pos = a > 0
-        if pos.any():
-            with np.errstate(divide="ignore"):
-                roots = np.exp(np.log(a[pos]) / m[pos])
-            break
-        if lo == 1:
-            raise InvalidSequence("sequence has no positive coefficients")
-        lo = max(1, lo - window)  # window landed on a zero run; widen toward a_1
-    wmax = float(np.max(roots))
-    if wmax >= m_max / SIGMA_CUTOFF_FACTOR:
-        return 0.0, "root-test"
-    if wmax <= SIGMA_CUTOFF_FACTOR / m_max:
-        return math.inf, "root-test"
-    return 1.0 / wmax, "root-test"
-
-
-# ---------------------------------------------------------------------------
 # Boundary sum  K = sum a_m sigma^m
 # ---------------------------------------------------------------------------
 
 STATUS_FINITE = "finite"
 STATUS_DIVERGENT = "divergent"
 STATUS_INCONCLUSIVE = "inconclusive"
-STATUS_SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -269,7 +210,7 @@ class KStatus:
     """Outcome of the boundary-sum test.
 
     ``finite`` carries a certified value and tail bound (half-width of the
-    enclosure); ``divergent`` carries the partial sum at the cutoff;
+    enclosure); ``divergent`` carries the partial sum at m_max;
     ``inconclusive`` means no certificate fired within m_max and is reported
     as such, never silently resolved.
     """
@@ -290,46 +231,97 @@ class KStatus:
         return self.status == STATUS_DIVERGENT
 
 
-def _terms(seq: CoefficientSequence, s: float, m: int) -> np.ndarray:
-    coeffs = seq.coefficients(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = s ** np.arange(1, m + 1, dtype=float)
-        t = coeffs * powers
-    return np.nan_to_num(t, nan=np.inf, posinf=np.inf)
+def _power_tail(seq: CoefficientSequence) -> tuple[int, float, float] | None:
+    """(L, a_L, p) with a_m = a_L (m/L)^p for every m >= L, or None for a
+    geometric tail (a_m sigma^m constant from some index on)."""
+    if seq.kind == KIND_HARMONIC:
+        return 1, 1.0, -1.0
+    if seq.kind == KIND_POWER_LAW:
+        return 1, 1.0, seq.exponent
+    if seq.kind == KIND_CUSTOM and seq.tail == TAIL_POWER_LAW:
+        return len(seq.values), seq.values[-1], seq.tail_exponent
+    return None
 
 
-def _divergent(seq, s, m_max, ceiling, detail) -> KStatus:
-    t = _terms(seq, s, m_max)
-    csum = np.cumsum(t)
-    over = np.nonzero(csum > ceiling)[0]
-    cutoff = int(over[0]) + 1 if over.size else m_max
-    partial = float(csum[cutoff - 1])
-    return KStatus(
-        status=STATUS_DIVERGENT,
-        partial_sum=partial,
-        cutoff=cutoff,
-        detail=detail,
-    )
+def _geometric_partial_sum(seq: CoefficientSequence, m_max: int) -> float:
+    """sum_{m <= m_max} a_m sigma^m for a tail whose terms a_m sigma^m are constant."""
+    if seq.kind == KIND_GEOMETRIC:
+        return float(m_max)  # every term is ratio^m / ratio^m = 1
+    vals = np.asarray(seq.values[:m_max])
+    m = np.arange(1, vals.size + 1, dtype=float)
+    # in logs, so that neither a_m nor sigma^m overflows on its own
+    with np.errstate(divide="ignore", over="ignore"):
+        head = np.exp(np.log(vals) + m * math.log(seq.sigma))
+    return float(np.sum(np.pad(head, (0, m_max - head.size), mode="edge")))
 
 
-def _certify_with_bound(seq, s, tol, m_max, bound_at):
-    """Try doubling cutoffs; certify once the tail enclosure is below tol*value.
+def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KStatus:
+    """Decide convergence of K = sum a_m sigma^m from the shape of the tail.
 
-    ``bound_at(M) -> (estimate, half_width)`` encloses the tail sum beyond M.
+    The log kind telescopes.  A geometric tail has a_m sigma^m constant and
+    diverges.  A power-law tail c m^p diverges for p >= -1; for p < -1 the
+    tail beyond each doubling cutoff M = 64, ..., m_max is enclosed by the
+    Euler-Maclaurin sums through the g'(M)/12 and the g'''(M)/720 terms
+    (g = c x^p is completely monotone, so the remainder alternates in sign
+    and is bounded by the first omitted term; Graham, Knuth and Patashnik,
+    *Concrete Mathematics*, 9.5).  When no enclosure is narrower than
+    tol * K the result is inconclusive.
     """
-    cuts = []
-    c = 64
-    while c < m_max:
-        cuts.append(c)
-        c *= 2
-    cuts.append(m_max)
-    for M in cuts:
-        est, half = bound_at(M)
-        if est is None:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    eps = np.finfo(float).eps
+
+    if seq.kind == KIND_LOG:
+        # telescoping: the tail beyond M is exactly 1/M
+        M = min(m_max, 4096)
+        partial = float(np.sum(seq.coefficients(M)))
+        value = partial + 1.0 / M
+        return KStatus(
+            status=STATUS_FINITE,
+            value=value,
+            tail_bound=16 * eps * value,
+            partial_sum=partial,
+            cutoff=M,
+        )
+
+    tail = _power_tail(seq)
+    if tail is None:
+        return KStatus(
+            status=STATUS_DIVERGENT,
+            partial_sum=_geometric_partial_sum(seq, m_max),
+            cutoff=m_max,
+            detail="geometric tail: a_m sigma^m is constant",
+        )
+    L, a_L, p = tail
+    if p >= -1.0:
+        return KStatus(
+            status=STATUS_DIVERGENT,
+            partial_sum=float(np.sum(seq.coefficients(m_max))),
+            cutoff=m_max,
+            detail="integral comparison: sum of m^p diverges for p >= -1",
+        )
+
+    # sigma = 1, so the terms are the coefficients themselves
+    cuts = [M for M in (64 << k for k in range(m_max.bit_length())) if M < m_max]
+    for M in [*cuts, m_max]:
+        if M < L:
             continue
-        partial = float(np.sum(_terms(seq, s, M)))
-        value = partial + est
-        if value > 0 and half < tol * value:
+        g = a_L * (M / L) ** p
+        integral = g * M / (-1.0 - p)
+        d1 = g * p / M  # g'(M)
+        d3 = d1 * (p - 1.0) / M * (p - 2.0) / M  # g'''(M)
+        upper = integral - g / 2.0 - d1 / 12.0
+        lower = upper + d3 / 720.0
+        partial = float(np.sum(seq.coefficients(M)))
+        value = partial + (upper + lower) / 2.0
+        # rounding: any order of summing M terms each good to (|p|/2 + 2) ulps,
+        # and a few ulps in each Euler-Maclaurin term
+        rounding = eps * (
+            (M + abs(p) + 4.0) * partial
+            + 8.0 * (integral + g / 2.0 - d1 / 12.0 - d3 / 720.0)
+        )
+        half = (upper - lower) / 2.0 + rounding
+        if half < tol * value:
             return KStatus(
                 status=STATUS_FINITE,
                 value=value,
@@ -337,178 +329,12 @@ def _certify_with_bound(seq, s, tol, m_max, bound_at):
                 partial_sum=partial,
                 cutoff=M,
             )
-    return None
-
-
-def boundary_sum(
-    seq: CoefficientSequence,
-    sigma: float,
-    tol: float,
-    m_max: int = 256,
-    ceiling: float = 1e12,
-) -> KStatus:
-    """Decide convergence of sum a_m sigma^m with a certificate.
-
-    Built-in kinds use comparison with their closed forms (telescoping for
-    the log kind, integral test for power laws, geometric sums); custom
-    sequences use the geometric or power-law structure of their tail rule.
-    When no certificate fires within m_max the result is inconclusive.
-    """
-    if not (0 < sigma < math.inf):
-        raise ValueError("boundary_sum requires 0 < sigma < +inf")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s = float(sigma)
-    eps = np.finfo(float).eps
-
-    if seq.kind == KIND_HARMONIC:
-        if s < 1.0:
-            res = _certify_with_bound(
-                seq,
-                s,
-                tol,
-                m_max,
-                lambda M: (
-                    (b := s ** (M + 1) / ((M + 1) * (1.0 - s))) / 2.0,
-                    b / 2.0,
-                ),
-            )
-            if res:
-                return res
-        else:
-            detail = (
-                "harmonic comparison: partial sums exceed ln(M+1)"
-                if s == 1.0
-                else "terms are unbounded"
-            )
-            return _divergent(seq, s, m_max, ceiling, detail)
-
-    elif seq.kind == KIND_LOG:
-        if s < 1.0:
-            res = _certify_with_bound(
-                seq,
-                s,
-                tol,
-                m_max,
-                # tail <= sum_{m>M} s^m / (M(M+1)) enclosed in [0, b]
-                lambda M: (
-                    (b := s ** (M + 1) / (M * (M + 1) * (1.0 - s))) / 2.0,
-                    b / 2.0,
-                ),
-            )
-            if res:
-                return res
-        elif s == 1.0:
-            # telescoping: the tail beyond M is exactly 1/M
-            M = min(m_max, 4096)
-            partial = float(np.sum(_terms(seq, s, M)))
-            value = partial + 1.0 / M
-            return KStatus(
-                status=STATUS_FINITE,
-                value=value,
-                tail_bound=16 * eps * value,
-                partial_sum=partial,
-                cutoff=M,
-            )
-        else:
-            return _divergent(seq, s, m_max, ceiling, "terms are unbounded")
-
-    elif seq.kind == KIND_GEOMETRIC:
-        q = seq.ratio * s
-        if q < 1.0:
-            M = min(m_max, 4096)
-            partial = float(np.sum(_terms(seq, s, M)))
-            value = partial + q ** (M + 1) / (1.0 - q)
-            return KStatus(
-                status=STATUS_FINITE,
-                value=value,
-                tail_bound=16 * eps * value,
-                partial_sum=partial,
-                cutoff=M,
-            )
-        return _divergent(seq, s, m_max, ceiling, "geometric term ratio >= 1")
-
-    elif seq.kind == KIND_POWER_LAW:
-        p = seq.exponent
-        res = _power_law_status(seq, s, p, 1.0, tol, m_max, ceiling)
-        if res:
-            return res
-
-    else:  # custom
-        vals = seq.values
-        L = len(vals)
-        if seq.tail == TAIL_REPEAT_RATIO:
-            rho = vals[-1] / vals[-2]
-            q = rho * s
-            if q < 1.0:
-                M = max(L, min(m_max, 4096))
-                partial = float(np.sum(_terms(seq, s, M)))
-                a_M = seq.a(M)
-                tail = a_M * (s**M) * q / (1.0 - q)
-                value = partial + tail
-                return KStatus(
-                    status=STATUS_FINITE,
-                    value=value,
-                    tail_bound=16 * eps * max(value, tail),
-                    partial_sum=partial,
-                    cutoff=M,
-                )
-            return _divergent(
-                seq, s, m_max, ceiling, "custom geometric tail has ratio*s >= 1"
-            )
-        # power-law tail: a_m = c m^p beyond the list
-        p = seq.tail_exponent
-        c = vals[-1] / L**p
-        res = _power_law_status(seq, s, p, c, tol, m_max, ceiling, start=L)
-        if res:
-            return res
-
-    # No certificate fired; last resort is the configured divergence ceiling.
-    partial = float(np.sum(_terms(seq, s, m_max)))
-    if partial > ceiling:
-        return _divergent(
-            seq, s, m_max, ceiling, "partial sum exceeded divergence ceiling"
-        )
     return KStatus(
         status=STATUS_INCONCLUSIVE,
-        partial_sum=partial,
+        partial_sum=float(np.sum(seq.coefficients(m_max))),
         cutoff=m_max,
         detail=f"no convergence certificate within m_max={m_max}",
     )
-
-
-def _power_law_status(seq, s, p, c, tol, m_max, ceiling, start=1):
-    """Certificates for tails behaving like c*m^p s^m from index ``start`` on."""
-    if s > 1.0:
-        return _divergent(seq, s, m_max, ceiling, "terms are unbounded")
-    if s == 1.0:
-        if p >= -1.0:
-            return _divergent(
-                seq, s, m_max, ceiling, "integral comparison: sum of m^p diverges"
-            )
-
-        def bound_at(M):
-            if M < start:
-                return None, None
-            k = -1.0 - p
-            hi = c * M ** (p + 1.0) / k
-            lo = c * (M + 1.0) ** (p + 1.0) / k
-            return (lo + hi) / 2.0, (hi - lo) / 2.0
-
-        return _certify_with_bound(seq, s, tol, m_max, bound_at)
-
-    # s < 1: geometric majorant once (1+1/M)^max(p,0) * s < 1
-    def bound_at(M):
-        if M < start:
-            return None, None
-        rate = (1.0 + 1.0 / M) ** max(p, 0.0) * s
-        if rate >= 1.0:
-            return None, None
-        t_next = c * (M + 1.0) ** p * s ** (M + 1.0)
-        b = t_next / (1.0 - rate)
-        return b / 2.0, b / 2.0
-
-    return _certify_with_bound(seq, s, tol, m_max, bound_at)
 
 
 # ---------------------------------------------------------------------------
@@ -631,27 +457,20 @@ def q_partial_inverse(
     return float(s[0]) if np.ndim(y) == 0 else s.reshape(np.shape(y))
 
 
-def _sigma_estimate(seq: CoefficientSequence) -> float:
-    if seq.sigma_closed_form is not None:
-        return float(seq.sigma_closed_form)
-    sigma, _ = radius_of_convergence(seq)
-    return sigma
-
-
 def q_full(seq: CoefficientSequence, s: float, tol: float = 1e-10) -> float:
     """Full series Q(s), adaptively truncated.
 
     Terms are summed until the geometric tail majorant
-    a_m s^m / (1 - s/sigma_hat) drops below ``tol``.  Requires s < sigma.
+    a_m s^m / (1 - s/sigma) drops below ``tol``.  Requires s < sigma.
     """
-    sigma_hat = _sigma_estimate(seq)
+    sigma = seq.sigma
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if s >= sigma_hat:
-        raise DomainError(f"s={s} is outside [0, sigma={sigma_hat})")
+    if s >= sigma:
+        raise DomainError(f"s={s} is outside [0, sigma={sigma})")
     if s == 0.0:
         return 0.0
-    shrink = 1.0 - s / sigma_hat if math.isfinite(sigma_hat) else 1.0
+    shrink = 1.0 - s / sigma
     total = 0.0
     block = 256
     start = 1
@@ -686,12 +505,12 @@ def q_derivative(
             raise ValueError("n must be >= 1")
         _, dq = _horner_with_derivative(seq.coefficients(n), np.asarray(s, float))
         return float(dq)
-    sigma_hat = _sigma_estimate(seq)
-    if s >= sigma_hat:
-        raise DomainError(f"s={s} is outside [0, sigma={sigma_hat})")
+    sigma = seq.sigma
+    if s >= sigma:
+        raise DomainError(f"s={s} is outside [0, sigma={sigma})")
     if s == 0.0:
-        return float(seq.a(1))
-    r = s / sigma_hat if math.isfinite(sigma_hat) else 0.0
+        return float(seq.coefficients(1)[0])
+    r = s / sigma
     total = 0.0
     block = 256
     start = 1
@@ -721,38 +540,18 @@ def q_derivative(
 
 @dataclass(frozen=True)
 class SeriesProfile:
-    """Radius estimate plus boundary-sum status at the truncation used."""
+    """Radius plus boundary-sum status at the truncation used."""
 
     sigma: float
-    sigma_method: str
     K: KStatus
     m_max: int
     tol: float
 
-    @property
-    def sigma_is_zero(self) -> bool:
-        return self.sigma == 0.0
-
 
 def profile(
-    seq: CoefficientSequence,
-    m_max: int = 256,
-    tol: float = 1e-8,
-    ceiling: float = 1e12,
+    seq: CoefficientSequence, m_max: int = 256, tol: float = 1e-8
 ) -> SeriesProfile:
-    """Compute sigma and the boundary sum status in one shot.
-
-    sigma = 0 skips the boundary sum (no nontrivial solution exists);
-    sigma = +inf records the trivially-divergent case.
-    """
-    sigma, method = radius_of_convergence(seq, m_max)
-    if sigma == 0.0:
-        k = KStatus(status=STATUS_SKIPPED, detail="sigma = 0")
-    elif math.isinf(sigma):
-        k = KStatus(
-            status=STATUS_DIVERGENT,
-            detail="sigma = +inf: boundary sum trivially divergent",
-        )
-    else:
-        k = boundary_sum(seq, sigma, tol, m_max=m_max, ceiling=ceiling)
-    return SeriesProfile(sigma=sigma, sigma_method=method, K=k, m_max=m_max, tol=tol)
+    """The radius sigma and the boundary sum status in one shot."""
+    return SeriesProfile(
+        sigma=seq.sigma, K=boundary_sum(seq, tol, m_max), m_max=m_max, tol=tol
+    )

@@ -118,21 +118,27 @@ def test_criterion_04_dichotomy():
     all_data = diagnose(harmonic(), _constant_problem(1.0))
     log_report = diagnose(log_kind(), _constant_problem(1.0))
     K = log_report.series_profile.K
-    m = np.arange(1, 61, dtype=float)
-    trivial = diagnose(custom((m**m).tolist()), _constant_problem(1.0))
+    zeta3 = diagnose(
+        custom([1.0, 0.125], tail="power-law", tail_exponent=-3.0),
+        _constant_problem(1.0),
+    )
+    K3 = zeta3.series_profile.K
     ok = (
         all_data.verdict == "ExistsAllData"
         and K.is_finite
         and abs(K.value - 2.0) <= 1e-8
         and math.isfinite(log_report.lambda_exist)
         and math.isfinite(log_report.lambda_nonexist)
-        and trivial.verdict == "TrivialOnly"
+        and K3.is_finite
+        and abs(K3.value - 1.2020569031595942) <= K3.tail_bound  # zeta(3)
+        and math.isfinite(zeta3.lambda_exist)
+        and math.isfinite(zeta3.lambda_nonexist)
     )
     _check(
         4,
         "dichotomy",
         ok,
-        f"harmonic={all_data.verdict}, K={K.value!r}, m^m={trivial.verdict}",
+        f"harmonic={all_data.verdict}, K={K.value!r}, zeta(3) tail K={K3.value!r}",
     )
 
 

@@ -12,7 +12,6 @@ from porolab.analysis import (
     VERDICT_EXISTS,
     VERDICT_INDETERMINATE,
     VERDICT_NONEXIST,
-    VERDICT_TRIVIAL,
     classify,
     diagnose,
     half_resolution,
@@ -28,7 +27,9 @@ from porolab.elliptic import (
     constant_field,
 )
 from porolab.params import Tolerances
-from porolab.series import custom, harmonic, log_kind, power_law
+import mpmath
+
+from porolab.series import custom, geometric, harmonic, log_kind, power_law
 
 
 def _unit_problem(lambda_scale=1.0, n=128, f_value=1.0, dim=1):
@@ -102,14 +103,15 @@ def test_diagnose_divergent_boundary_sum_means_all_data():
     assert math.isinf(report.lambda_nonexist)
 
 
-def test_diagnose_sigma_zero_is_trivial_and_solver_free(monkeypatch):
+def test_diagnose_supercritical_list_is_all_data_and_solver_free(monkeypatch):
     def boom(*a, **k):  # pragma: no cover - would mean a solve happened
-        raise AssertionError("no linear solve may run when sigma = 0")
+        raise AssertionError("no linear solve may run when K diverges")
 
     monkeypatch.setattr(analysis, "solve_unit_load", boom)
+    # m^m for m <= 60: the repeat-ratio tail keeps a_m sigma^m constant
     m = np.arange(1, 61, dtype=float)
     report = diagnose(custom((m**m).tolist()), _unit_problem())
-    assert report.verdict == VERDICT_TRIVIAL
+    assert report.verdict == VERDICT_ALL_DATA
     assert report.sup_v1 is None and report.lambda1 is None
 
 
@@ -118,10 +120,71 @@ def test_diagnose_inconclusive_k_stays_indeterminate(monkeypatch):
         raise AssertionError("no linear solve may run when K is undecided")
 
     monkeypatch.setattr(analysis, "solve_unit_load", boom)
-    # integral-test enclosure too wide at m_max=256, so K stays undecided
-    report = diagnose(power_law(-2.0), _unit_problem())
+    # the Euler-Maclaurin enclosure is wider than 1e-14 * K up to m_max=256
+    report = diagnose(power_law(-2.0), _unit_problem(), Tolerances(tol_series=1e-14))
     assert report.verdict == VERDICT_INDETERMINATE
     assert "undecided" in report.detail
+
+
+_ZETA3_TAIL = custom([1.0, 0.125], tail="power-law", tail_exponent=-3.0)
+
+
+@pytest.mark.parametrize(
+    "seq,sigma",
+    [
+        (custom([1.0, 0.5]), 2.0),
+        (custom([1.0, 49.0]), 1 / 49),
+        (custom([1.0, 0.02]), 50.0),
+        (geometric(49.0), 1 / 49),
+    ],
+)
+def test_diagnose_geometric_tail_diverges_at_exact_radius(seq, sigma):
+    # 49 * (1/49) rounds to 1 - 2^-53: the verdict must not form that product
+    report = diagnose(seq, _unit_problem(lambda_scale=1e5, n=64))
+    assert seq.sigma == pytest.approx(sigma, rel=1e-15)
+    assert report.series_profile.K.is_divergent
+    assert report.series_profile.K.value is None
+    assert report.verdict == VERDICT_ALL_DATA
+
+
+@pytest.mark.parametrize(
+    "seq,zeta_arg",
+    [
+        (_ZETA3_TAIL, 3.0),
+        (power_law(-1.5), 1.5),
+        (power_law(-2.0), 2.0),
+        (power_law(-3.0), 3.0),
+    ],
+)
+def test_diagnose_power_law_tail_certifies_zeta(seq, zeta_arg):
+    report = diagnose(seq, _unit_problem(lambda_scale=1e5, n=64))
+    K = report.series_profile.K
+    assert seq.sigma == 1.0
+    assert K.is_finite
+    assert abs(K.value - float(mpmath.zeta(zeta_arg))) <= K.tail_bound
+    assert math.isfinite(report.lambda_exist) and math.isfinite(report.lambda_nonexist)
+    assert report.verdict == VERDICT_NONEXIST
+
+
+def test_diagnose_zero_datum_exists_for_all_loads(monkeypatch):
+    def boom(*a, **k):  # pragma: no cover
+        raise AssertionError("no eigensolve may run when v1 vanishes")
+
+    monkeypatch.setattr(analysis, "principal_eigenpair", boom)
+    g = build_grid(1, n_cells=32)
+    values = np.zeros(g.node_shape)
+    values[[0, -1]] = 1.0  # nonzero on the boundary only
+    for f in (np.zeros(g.node_shape), values):
+        p = EllipticProblem(
+            grid=g,
+            field=constant_field(g, 1.0),
+            f=GridFunction(grid=g, values=f),
+            lambda_scale=5.0,
+        )
+        report = diagnose(log_kind(), p)
+        assert report.verdict == VERDICT_ALL_DATA
+        assert report.sup_v1 == 0.0 and report.lambda1 is None
+        assert math.isinf(report.lambda_exist) and math.isinf(report.lambda_nonexist)
 
 
 def test_diagnose_duality_between_thresholds():

@@ -388,6 +388,68 @@ def test_cli_analyze_and_flatzone_share_the_flat_zone(tmp_path, capsys):
     assert _json_body(tmp_path / "zone.json")["measure"] == measure
 
 
+@pytest.mark.parametrize(
+    "series,k_status,verdict",
+    [
+        ("kind = custom\nvalues = 1, 0.5", "divergent", "ExistsAllData"),
+        ("kind = custom\nvalues = 1, 49", "divergent", "ExistsAllData"),
+        ("kind = custom\nvalues = 1, 0.02", "divergent", "ExistsAllData"),
+        ("kind = geometric\nratio = 49", "divergent", "ExistsAllData"),
+        (
+            "kind = custom\nvalues = 1, 0.125\ntail = power-law\ntail_exponent = -3",
+            "finite",
+            "NonexistenceProven",
+        ),
+        ("kind = power-law\nexponent = -1.5", "finite", "NonexistenceProven"),
+    ],
+)
+def test_cli_analyze_decides_k_from_the_tail_rule(tmp_path, capsys, series, k_status, verdict):
+    cfgfile = _write(
+        tmp_path, f"[domain]\nn_cells = 64\n\n[data]\nlambda_scale = 1e5\n\n[series]\n{series}\n"
+    )
+    report_path = tmp_path / "r.json"
+    assert entry(["analyze", "--config", cfgfile, "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    report = _json_body(report_path)
+    assert (report["K_status"], report["verdict"]) == (k_status, verdict)
+    assert report["sigma_method"] == "closed-form"
+
+
+ZERO_DATUM_INI = """
+[domain]
+n_cells = 32
+
+[data]
+value = 0
+
+[series]
+kind = log
+"""
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("analyze", []),
+        ("sweep", ["--lambda-min", "1", "--lambda-max", "50", "--steps", "3"]),
+    ],
+)
+def test_cli_zero_datum_exists_for_all_loads(tmp_path, monkeypatch, capsys, command, extra):
+    eigs = _count_calls(monkeypatch, "porolab.spectral", "principal_eigenpair")
+    cfgfile = _write(tmp_path, ZERO_DATUM_INI)
+    out = tmp_path / "out.csv"
+    assert entry([command, "--config", cfgfile, *extra, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert eigs == []
+    assert "lambda_exist=inf lambda_nonexist=inf" in stdout
+    assert "half-resolution" not in stdout
+    if command == "analyze":
+        assert _json_body(out)["verdict"] == "ExistsAllData"
+    else:
+        rows = out.read_text().splitlines()[2:]
+        assert [r.split(",")[1] for r in rows] == ["ExistsAllData"] * 3
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 1: configuration problems, including usage errors
     assert entry(["analyze", "--config", "/no/such.ini"]) == 1
@@ -405,6 +467,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = _write(tmp_path, "[series]\nkind = custom\nvalues = 0, 1\n", name="bad.ini")
     assert entry(["analyze", "--config", bad]) == 3
     assert "error (series)" in capsys.readouterr().err
+    # sigma = 1/ratio is +inf in float64
+    tiny = _write(tmp_path, "[series]\nkind = geometric\nratio = 1e-320\n", name="tiny.ini")
+    assert entry(["analyze", "--config", tiny]) == 3
+    assert "radius of convergence" in capsys.readouterr().err
 
     # 2: solver failure (iteration cap of 1)
     slow = _write(

@@ -33,7 +33,6 @@ def test_classification_band_definition():
         ({"m_max": 8}, "m_max"),
         ({"max_eig_iter": 0}, "max_eig_iter"),
         ({"max_invert_iter": 0}, "max_invert_iter"),
-        ({"divergence_ceiling": 0.0}, "divergence_ceiling"),
     ],
 )
 def test_validate_names_the_key(kwargs, key):

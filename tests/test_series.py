@@ -1,8 +1,9 @@
-"""Coefficient sequences: radius estimates, boundary sums, partial sums and
+"""Coefficient sequences: exact radii, boundary sums, partial sums and
 their monotone inverse, full-series evaluation."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,9 @@ from porolab.series import (
     q_full,
     q_partial,
     q_partial_inverse,
-    radius_of_convergence,
 )
+
+_POSITIVE = st.floats(1e-3, 1e3)
 
 
 # ---------------------------------------------------------------------------
@@ -34,16 +36,14 @@ from porolab.series import (
 
 def test_harmonic_coefficients():
     seq = harmonic()
-    assert seq.a(1) == 1.0
-    assert seq.a(4) == 0.25
     np.testing.assert_allclose(seq.coefficients(5), [1, 1 / 2, 1 / 3, 1 / 4, 1 / 5])
 
 
 def test_log_kind_coefficients():
-    seq = log_kind()
-    assert seq.a(1) == 1.0
-    assert seq.a(2) == 0.5
-    assert seq.a(6) == pytest.approx(1 / 30)
+    a = log_kind().coefficients(6)
+    assert a[0] == 1.0
+    assert a[1] == 0.5
+    assert a[5] == pytest.approx(1 / 30)
 
 
 def test_geometric_coefficients():
@@ -65,15 +65,16 @@ def test_custom_repeat_ratio_tail():
 def test_custom_power_law_tail_explicit_exponent():
     seq = custom([2.0, 1.0], tail="power-law", tail_exponent=-2.0)
     # a_m = a_2 (m/2)^-2 = 4/m^2 beyond the list
-    assert seq.a(4) == pytest.approx(0.25)
-    assert seq.a(10) == pytest.approx(0.04)
+    a = seq.coefficients(10)
+    assert a[3] == pytest.approx(0.25)
+    assert a[9] == pytest.approx(0.04)
 
 
 def test_custom_power_law_tail_fitted_exponent():
     # last two values 1, 1/2 at positions 2, 3 fit p = log(.5)/log(1.5)
     seq = custom([1.0, 1.0, 0.5], tail="power-law")
     p = math.log(0.5) / math.log(1.5)
-    assert seq.a(6) == pytest.approx(0.5 * (6 / 3) ** p)
+    assert seq.coefficients(6)[5] == pytest.approx(0.5 * (6 / 3) ** p)
 
 
 @pytest.mark.parametrize(
@@ -89,6 +90,15 @@ def test_custom_power_law_tail_fitted_exponent():
 def test_custom_rejects_bad_values(values, err):
     with pytest.raises(InvalidSequence, match=err):
         custom(values)
+
+
+def test_custom_power_law_tail_exponent_is_finite():
+    # the quotient 1e-300 / 1e300 underflows to 0; the fitted exponent must not
+    seq = custom([1.0, 1e300, 1e-300], tail="power-law")
+    assert seq.tail_exponent == pytest.approx(-600 * math.log(10) / math.log(1.5))
+    assert boundary_sum(seq, tol=1e-8).is_finite
+    with pytest.raises(InvalidSequence, match="exponent must be finite"):
+        custom([1.0, 0.5], tail="power-law", tail_exponent=math.inf)
 
 
 def test_geometric_rejects_nonpositive_ratio():
@@ -122,37 +132,47 @@ def test_make_sequence_dispatch():
         (power_law(3.0), 1.0),
         (geometric(4.0), 0.25),
         (geometric(0.5), 2.0),
+        (custom([1.0, 0.5], tail="power-law"), 1.0),
     ],
 )
 def test_radius_closed_forms(seq, sigma):
-    est, method = radius_of_convergence(seq)
-    assert method == "closed-form"
-    assert est == pytest.approx(sigma)
+    assert seq.sigma == sigma
 
 
 def test_radius_custom_repeat_ratio():
-    est, method = radius_of_convergence(custom([1.0, 2.0]))
-    assert method == "root-test"
-    assert est == pytest.approx(0.5, abs=0.01)
+    assert custom([1.0, 2.0]).sigma == 0.5
 
 
-def test_radius_supercritical_growth_reports_zero():
-    # a_m = m^m grows faster than any geometric sequence
+def test_radius_supercritical_growth_is_last_ratio():
+    # a_m = m^m for m <= 60, continued with the ratio 60^60 / 59^59
     m = np.arange(1, 61, dtype=float)
-    seq = custom((m**m).tolist())
-    est, method = radius_of_convergence(seq, m_max=200)
-    assert method == "root-test"
-    assert est == 0.0
+    vals = (m**m).tolist()
+    seq = custom(vals)
+    assert seq.sigma == vals[-2] / vals[-1]
+    assert seq.sigma == pytest.approx(1 / 163, rel=1e-2)
 
 
-def test_radius_factorial_decay_reports_inf():
+def test_radius_factorial_decay_is_last_ratio():
     import scipy.special as sps
 
     m = np.arange(1, 161, dtype=float)
-    vals = np.exp(-sps.gammaln(m + 1))  # 1/m!
-    seq = custom(vals.tolist(), tail="repeat-ratio")
-    est, _ = radius_of_convergence(seq, m_max=200)
-    assert math.isinf(est)
+    vals = np.exp(-sps.gammaln(m + 1)).tolist()  # 1/m!
+    seq = custom(vals, tail="repeat-ratio")
+    assert seq.sigma == vals[-2] / vals[-1]
+    assert seq.sigma == pytest.approx(160.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: geometric(1e-320),
+        lambda: custom([1e300, 1e-10]),
+        lambda: custom([1e-300, 1e300]),
+    ],
+)
+def test_radius_zero_or_infinite_in_float64_rejected(build):
+    with pytest.raises(InvalidSequence, match="radius of convergence"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -161,80 +181,89 @@ def test_radius_factorial_decay_reports_inf():
 
 
 def test_boundary_sum_log_kind_telescopes_to_two():
-    st = boundary_sum(log_kind(), 1.0, tol=1e-8)
+    st = boundary_sum(log_kind(), tol=1e-8)
     assert st.is_finite
     assert st.value == pytest.approx(2.0, abs=1e-8)
     assert st.tail_bound < 1e-8 * st.value
 
 
-def test_boundary_sum_log_kind_inside_radius():
-    # closed form 2s + (1-s) ln(1-s)
-    s = 0.999
-    st = boundary_sum(log_kind(), s, tol=1e-8, m_max=100000)
-    exact = 2 * s + (1 - s) * math.log(1 - s)
-    assert st.is_finite
-    assert abs(st.value - exact) <= st.tail_bound + 1e-12
-
-
 def test_boundary_sum_harmonic_diverges():
-    st = boundary_sum(harmonic(), 1.0, tol=1e-8)
+    st = boundary_sum(harmonic(), tol=1e-8)
     assert st.is_divergent
     assert st.partial_sum is not None and st.cutoff is not None
 
 
 def test_boundary_sum_geometric_at_radius_diverges():
-    st = boundary_sum(geometric(2.0), 0.5, tol=1e-8)
+    st = boundary_sum(geometric(2.0), tol=1e-8)
     assert st.is_divergent
-
-
-def test_boundary_sum_geometric_inside_radius():
-    # sum (0.5)^m = 1 exactly
-    st = boundary_sum(geometric(0.5), 1.0, tol=1e-10)
-    assert st.is_finite
-    assert st.value == pytest.approx(1.0, rel=1e-10)
+    assert st.partial_sum == 256.0  # every term is 1
 
 
 def test_boundary_sum_power_law_vs_zeta_two():
-    st = boundary_sum(power_law(-2.0), 1.0, tol=1e-8, m_max=40000)
+    st = boundary_sum(power_law(-2.0), tol=1e-8, m_max=40000)
     assert st.is_finite
     assert st.value == pytest.approx(math.pi**2 / 6, abs=1e-7)
 
 
 def test_boundary_sum_power_law_inconclusive_at_small_m_max():
-    # the integral-test enclosure at M=256 is wider than tol*value
-    st = boundary_sum(power_law(-2.0), 1.0, tol=1e-8, m_max=256)
+    # the enclosure at M = 256 is wider than tol * value
+    st = boundary_sum(power_law(-2.0), tol=1e-14, m_max=256)
     assert st.status == "inconclusive"
 
 
 def test_boundary_sum_power_law_divergent_exponent():
-    st = boundary_sum(power_law(-1.0), 1.0, tol=1e-8)
+    st = boundary_sum(power_law(-1.0), tol=1e-8)
     assert st.is_divergent
-    st = boundary_sum(power_law(1.0), 1.0, tol=1e-8)
+    st = boundary_sum(power_law(1.0), tol=1e-8)
     assert st.is_divergent
 
 
 def test_boundary_sum_custom_power_law_tail():
     seq = custom([2.0, 1.0], tail="power-law", tail_exponent=-2.0)
-    st = boundary_sum(seq, 1.0, tol=1e-8, m_max=40000)
+    st = boundary_sum(seq, tol=1e-8, m_max=40000)
     exact = 3.0 + 4.0 * (math.pi**2 / 6 - 1.0 - 0.25)
     assert st.is_finite
     assert st.value == pytest.approx(exact, abs=1e-6)
 
 
-def test_boundary_sum_custom_repeat_ratio_inside_radius():
-    # at s = 0.25 the tail is geometric with quotient 0.5: exact closed form
-    seq = custom([1.0, 2.0])
-    st = boundary_sum(seq, 0.25, tol=1e-10)
-    exact = sum(2 ** (m - 1) * 0.25**m for m in range(1, 60))
+@pytest.mark.parametrize("m_max", [64, 256])
+@pytest.mark.parametrize(
+    "p", [-1.00001, -1.0001, -1.001, -1.01, -1.5, -2.0, -3.0, -6.0, -12.0, -40.0]
+)
+def test_boundary_sum_power_law_encloses_zeta(p, m_max):
+    st = boundary_sum(power_law(p), tol=1e-8, m_max=m_max)
     assert st.is_finite
-    assert st.value == pytest.approx(exact, rel=1e-10)
+    assert abs(st.value - float(mpmath.zeta(-p))) <= st.tail_bound
 
 
-def test_boundary_sum_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        boundary_sum(harmonic(), 0.0, tol=1e-8)
-    with pytest.raises(ValueError):
-        boundary_sum(harmonic(), math.inf, tol=1e-8)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    head=st.lists(st.one_of(st.just(0.0), _POSITIVE), max_size=6),
+    last=st.lists(_POSITIVE, min_size=2, max_size=2),
+    p=st.floats(-8.0, -1.0001),
+)
+def test_boundary_sum_custom_power_law_tail_encloses_hurwitz_zeta(head, last, p):
+    vals = [1.0, *head, *last]
+    seq = custom(vals, tail="power-law", tail_exponent=p)
+    st_ = boundary_sum(seq, tol=1e-8)
+    assert st_.is_finite
+    L = len(vals)
+    c = mpmath.mpf(vals[-1]) / mpmath.mpf(L) ** p
+    exact = mpmath.fsum(vals) + c * mpmath.zeta(-p, L + 1)
+    assert abs(st_.value - float(exact)) <= st_.tail_bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    head=st.lists(st.one_of(st.just(0.0), _POSITIVE), max_size=6),
+    last=st.lists(_POSITIVE, min_size=2, max_size=2),
+)
+def test_boundary_sum_repeat_ratio_tail_diverges(head, last):
+    seq = custom([1.0, *head, *last])
+    assert seq.sigma == last[0] / last[1]
+    st_ = boundary_sum(seq, tol=1e-8)
+    assert st_.is_divergent
+    assert st_.partial_sum > 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +361,6 @@ def _inversion_slack(seq, n, y, s, tol):
     return tol * np.maximum(1.0, y) / dq + 4 * np.finfo(float).eps * s
 
 
-_POSITIVE = st.floats(1e-3, 1e3)
-
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
@@ -375,7 +402,7 @@ def test_q_full_harmonic_closed_form(s):
     assert abs(val - (-math.log1p(-s))) <= 1e-8
 
 
-@pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 0.9, 0.999])
 def test_q_full_log_kind_closed_form(s):
     val = q_full(log_kind(), s)
     exact = 2 * s + (1 - s) * math.log1p(-s) if s > 0 else 0.0
@@ -428,12 +455,13 @@ def test_profile_harmonic_divergent():
     assert prof.K.is_divergent
 
 
-def test_profile_sigma_zero_skips_boundary_sum():
+def test_profile_supercritical_list_diverges_at_its_radius():
+    # m^m for m <= 60 and a repeat-ratio tail: a_m sigma^m is constant beyond
     m = np.arange(1, 61, dtype=float)
-    prof = profile(custom((m**m).tolist()))
-    assert prof.sigma == 0.0
-    assert prof.sigma_is_zero
-    assert prof.K.status == "skipped"
+    vals = (m**m).tolist()
+    prof = profile(custom(vals))
+    assert prof.sigma == vals[-2] / vals[-1]
+    assert prof.K.is_divergent
 
 
 def test_kstatus_flags():
