@@ -346,8 +346,10 @@ def _horner(coeffs: np.ndarray, s):
     """Q(s) = sum coeffs[m-1] s^m via Horner; s scalar or ndarray."""
     s = np.asarray(s, dtype=float)
     acc = np.zeros_like(s)
+    # in place: a fresh array per coefficient doubled the memory traffic
     for a in coeffs[::-1]:
-        acc = acc * s + a
+        acc *= s
+        acc += a
     out = acc * s
     return np.where(s == 0.0, 0.0, out)
 
@@ -358,8 +360,10 @@ def _horner_with_derivative(coeffs: np.ndarray, s):
     p = np.full_like(s, coeffs[-1])
     dp = np.zeros_like(s)
     for a in coeffs[-2::-1]:
-        dp = dp * s + p
-        p = p * s + a
+        dp *= s
+        dp += p
+        p *= s
+        p += a
     q = np.where(s == 0.0, 0.0, p * s)
     dq = p + s * dp
     return q, dq
