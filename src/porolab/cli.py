@@ -89,7 +89,7 @@ def _write_json(path: str, obj: dict, comment: str) -> None:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    seq, problem = cfg.sequence(), cfg.problem()
+    seq, problem = cfg.sequence, cfg.problem
     report = diagnose(seq, problem, cfg.tolerances)
     half = half_resolution(problem) if report.lambda1 is not None else None
     coarse = diagnose(seq, half, cfg.tolerances) if half is not None else None
@@ -126,8 +126,8 @@ def _solve_schedule(cfg: ExperimentConfig, n: int) -> list[int]:
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     run = converge(
-        cfg.sequence(),
-        cfg.problem(),
+        cfg.sequence,
+        cfg.problem,
         _solve_schedule(cfg, args.n),
         cfg.stop_tol,
         cfg.tolerances,
@@ -148,7 +148,7 @@ def _cmd_sweep(args) -> int:
     if args.lambda_min <= 0:
         raise ConfigError("--lambda-min must be positive")
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    result = lambda_sweep(cfg.sequence(), cfg.problem(), lams, cfg.tolerances)
+    result = lambda_sweep(cfg.sequence, cfg.problem, lams, cfg.tolerances)
     lines = [f"# {_comment(cfg)}", "lambda,verdict"]
     for lam, verdict in result.rows:
         lines.append(f"{lam:.16e},{verdict}")
@@ -171,11 +171,11 @@ def _cmd_flatzone(args) -> int:
     cfg = load_config(args.config)
     if args.n_max < 1:
         raise ConfigError("--n-max must be at least 1")
-    result = flat_zone(cfg.sequence(), cfg.problem(), args.n_max, cfg.tolerances)
+    result = flat_zone(cfg.sequence, cfg.problem, args.n_max, cfg.tolerances)
     mask = (
         result.zone_mask
         if result.zone_mask is not None
-        else GridFunction.zero(cfg.grid())
+        else GridFunction.zero(cfg.problem.grid)
     )
     write_gridfunction_csv(mask, args.out, comment=_comment(cfg))
     summary = {
@@ -221,6 +221,9 @@ def entry(argv=None) -> int:
         return 1
     except PorolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error (config): {exc}", file=sys.stderr)
         return 1
 
 

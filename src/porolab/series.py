@@ -1,14 +1,13 @@
 """Coefficient sequences and their power series.
 
 A sequence {a_m} (m >= 1, a_m >= 0, a_1 > 0, infinitely many positive terms)
-defines the nonlinearity Q(s) = sum a_m s^m.  Every sequence carries its exact
-radius of convergence sigma, fixed by its tail rule: 1 for the harmonic, log
-and power-law kinds and for a power-law tail, 1/ratio for the geometric kind,
-and a_{L-1}/a_L for a repeat-ratio tail after L listed values.  From the shape
-of that tail this module decides whether the boundary sum sum a_m sigma^m
-converges (with a certificate, never a guess), and it evaluates / inverts the
-partial sums Q_n.  All operations are pure; sequences are immutable and safe
-to share.
+defines the nonlinearity Q(s) = sum a_m s^m.  Every sequence is a list of
+head values followed by one tail rule, and carries its exact radius of
+convergence sigma, fixed by that rule: 1 for a power or log tail, 1/rate for
+a ratio tail.  From the shape of the tail this module decides whether the
+boundary sum sum a_m sigma^m converges (with a certificate, never a guess),
+and it evaluates / inverts the partial sums Q_n.  All operations are pure;
+sequences are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ import numpy as np
 
 from .errors import DomainError, InvalidSequence, NoConvergence
 
-KIND_HARMONIC = "harmonic"
-KIND_LOG = "log"
-KIND_GEOMETRIC = "geometric"
-KIND_POWER_LAW = "power-law"
-KIND_CUSTOM = "custom"
+KINDS = ("harmonic", "log", "geometric", "power-law", "custom")
+TAILS = ("repeat-ratio", "power-law")
 
-TAIL_REPEAT_RATIO = "repeat-ratio"
-TAIL_POWER_LAW = "power-law"
+RULE_RATIO = "ratio"
+RULE_POWER = "power"
+RULE_LOG = "log"
 
 _Q_FULL_TERM_CAP = 2_000_000
 
@@ -37,18 +34,18 @@ _Q_FULL_TERM_CAP = 2_000_000
 class CoefficientSequence:
     """Immutable coefficient sequence {a_m}, m >= 1, with its radius sigma.
 
-    ``values``/``tail``/``tail_exponent`` are only meaningful for the custom
-    kind; ``ratio`` for geometric; ``exponent`` for power-law.  A sigma that
-    is 0 or +inf in float64 is rejected with InvalidSequence.
+    a_m = head[m-1] for the listed values; beyond them the tail rule, from
+    ``anchor = (L, a_L)``, gives a_L rate^(m-L) (``ratio``), a_L (m/L)^rate
+    (``power``) or 1/(m(m-1)) (``log``).  A sigma that is 0 or +inf in
+    float64 is rejected with InvalidSequence.
     """
 
-    kind: str
+    label: str
     sigma: float
-    ratio: float | None = None
-    exponent: float | None = None
-    values: tuple[float, ...] | None = None
-    tail: str | None = None
-    tail_exponent: float | None = None
+    rule: str
+    rate: float = 0.0
+    head: tuple[float, ...] = ()
+    anchor: tuple[int, float] = (1, 1.0)
 
     def __post_init__(self):
         if not 0.0 < self.sigma < math.inf:
@@ -59,61 +56,38 @@ class CoefficientSequence:
 
     def coefficients(self, n: int) -> np.ndarray:
         """Vector (a_1, ..., a_n).  Overflowing entries become +inf."""
-        m = np.arange(1, n + 1, dtype=float)
-        if self.kind == KIND_HARMONIC:
-            return 1.0 / m
-        if self.kind == KIND_LOG:
-            out = np.empty(n)
-            out[0] = 1.0
-            if n > 1:
-                out[1:] = 1.0 / (m[1:] * (m[1:] - 1.0))
-            return out
+        out = np.empty(n)
+        k = min(n, len(self.head))
+        out[:k] = self.head[:k]
+        m = np.arange(k + 1, n + 1, dtype=float)
+        L, a_L = self.anchor
         with np.errstate(over="ignore"):
-            if self.kind == KIND_GEOMETRIC:
-                return self.ratio**m
-            if self.kind == KIND_POWER_LAW:
-                return m**self.exponent
-            vals = np.asarray(self.values)
-            length = len(vals)
-            if n <= length:
-                return vals[:n].astype(float).copy()
-            out = np.empty(n)
-            out[:length] = vals
-            tail_m = m[length:]
-            if self.tail == TAIL_REPEAT_RATIO:
-                r = vals[-1] / vals[-2]
-                out[length:] = vals[-1] * r ** (tail_m - length)
+            if self.rule == RULE_RATIO:
+                out[k:] = a_L * self.rate ** (m - L)
+            elif self.rule == RULE_POWER:
+                out[k:] = a_L * (m / L) ** self.rate
             else:
-                out[length:] = vals[-1] * (tail_m / length) ** self.tail_exponent
-            return out
-
-    @property
-    def label(self) -> str:
-        if self.kind == KIND_GEOMETRIC:
-            return f"geometric(ratio={self.ratio:g})"
-        if self.kind == KIND_POWER_LAW:
-            return f"power-law(exponent={self.exponent:g})"
-        if self.kind == KIND_CUSTOM:
-            return f"custom({len(self.values)} values, tail={self.tail})"
-        return self.kind
+                out[k:] = 1.0 / (m * (m - 1.0))
+        return out
 
 
 def harmonic() -> CoefficientSequence:
     """a_m = 1/m; radius 1, boundary sum divergent."""
-    return CoefficientSequence(kind=KIND_HARMONIC, sigma=1.0)
+    return CoefficientSequence("harmonic", 1.0, RULE_POWER, rate=-1.0)
 
 
 def log_kind() -> CoefficientSequence:
     """a_1 = 1, a_m = 1/(m(m-1)) for m >= 2; radius 1, boundary sum 2."""
-    return CoefficientSequence(kind=KIND_LOG, sigma=1.0)
+    return CoefficientSequence("log", 1.0, RULE_LOG, head=(1.0,))
 
 
 def geometric(ratio: float) -> CoefficientSequence:
     """a_m = ratio^m; radius 1/ratio, all boundary terms equal 1."""
     if not (ratio > 0 and math.isfinite(ratio)):
         raise InvalidSequence("geometric ratio must be a positive finite real")
+    ratio = float(ratio)
     return CoefficientSequence(
-        kind=KIND_GEOMETRIC, sigma=1.0 / ratio, ratio=float(ratio)
+        f"geometric(ratio={ratio:g})", 1.0 / ratio, RULE_RATIO, rate=ratio, anchor=(0, 1.0)
     )
 
 
@@ -121,14 +95,15 @@ def power_law(exponent: float) -> CoefficientSequence:
     """a_m = m^exponent; radius 1 for every exponent."""
     if not math.isfinite(exponent):
         raise InvalidSequence("power-law exponent must be finite")
+    exponent = float(exponent)
     return CoefficientSequence(
-        kind=KIND_POWER_LAW, sigma=1.0, exponent=float(exponent)
+        f"power-law(exponent={exponent:g})", 1.0, RULE_POWER, rate=exponent
     )
 
 
 def custom(
     values: Iterable[float],
-    tail: str = TAIL_REPEAT_RATIO,
+    tail: str = "repeat-ratio",
     tail_exponent: float | None = None,
 ) -> CoefficientSequence:
     """Finite list of leading coefficients plus a tail rule.
@@ -146,51 +121,53 @@ def custom(
         raise InvalidSequence("a_1 must be strictly positive")
     if any(v < 0 or not math.isfinite(v) for v in vals):
         raise InvalidSequence("coefficients must be nonnegative finite reals")
-    if tail not in (TAIL_REPEAT_RATIO, TAIL_POWER_LAW):
+    if tail not in TAILS:
         raise InvalidSequence(
-            f"unknown tail rule {tail!r}; use {TAIL_REPEAT_RATIO!r} or {TAIL_POWER_LAW!r}"
+            f"unknown tail rule {tail!r}; use 'repeat-ratio' or 'power-law'"
         )
     if len(vals) < 2 or vals[-1] <= 0 or vals[-2] <= 0:
         raise InvalidSequence(
             "tail rules need the last two listed values strictly positive"
         )
-    if tail == TAIL_REPEAT_RATIO:
+    L = len(vals)
+    label = f"custom({L} values, tail={tail})"
+    if tail == "repeat-ratio":
         return CoefficientSequence(
-            kind=KIND_CUSTOM, sigma=vals[-2] / vals[-1], values=vals, tail=tail
+            label, vals[-2] / vals[-1], RULE_RATIO,
+            rate=vals[-1] / vals[-2], head=vals, anchor=(L, vals[-1]),
         )
     p = tail_exponent
     if p is None:
-        length = len(vals)
         # logs of each value: their quotient may overflow or underflow
-        p = (math.log(vals[-1]) - math.log(vals[-2])) / math.log(length / (length - 1))
+        p = (math.log(vals[-1]) - math.log(vals[-2])) / math.log(L / (L - 1))
     if not math.isfinite(p):
         raise InvalidSequence("power-law tail exponent must be finite")
     return CoefficientSequence(
-        kind=KIND_CUSTOM, sigma=1.0, values=vals, tail=tail, tail_exponent=float(p)
+        label, 1.0, RULE_POWER, rate=float(p), head=vals, anchor=(L, vals[-1])
     )
 
 
 def make_sequence(kind: str, **params) -> CoefficientSequence:
     """Dispatch constructor used by the config layer."""
     kind = kind.strip().lower()
-    if kind == KIND_HARMONIC:
+    if kind == "harmonic":
         return harmonic()
-    if kind == KIND_LOG:
+    if kind == "log":
         return log_kind()
-    if kind == KIND_GEOMETRIC:
-        if "ratio" not in params or params["ratio"] is None:
+    if kind == "geometric":
+        if params.get("ratio") is None:
             raise InvalidSequence("geometric kind requires a ratio")
         return geometric(params["ratio"])
-    if kind == KIND_POWER_LAW:
-        if "exponent" not in params or params["exponent"] is None:
+    if kind == "power-law":
+        if params.get("exponent") is None:
             raise InvalidSequence("power-law kind requires an exponent")
         return power_law(params["exponent"])
-    if kind == KIND_CUSTOM:
-        if "values" not in params or params["values"] is None:
+    if kind == "custom":
+        if params.get("values") is None:
             raise InvalidSequence("custom kind requires a list of values")
         return custom(
             params["values"],
-            tail=params.get("tail") or TAIL_REPEAT_RATIO,
+            tail=params.get("tail") or "repeat-ratio",
             tail_exponent=params.get("tail_exponent"),
         )
     raise InvalidSequence(f"unknown sequence kind {kind!r}")
@@ -231,35 +208,25 @@ class KStatus:
         return self.status == STATUS_DIVERGENT
 
 
-def _power_tail(seq: CoefficientSequence) -> tuple[int, float, float] | None:
-    """(L, a_L, p) with a_m = a_L (m/L)^p for every m >= L, or None for a
-    geometric tail (a_m sigma^m constant from some index on)."""
-    if seq.kind == KIND_HARMONIC:
-        return 1, 1.0, -1.0
-    if seq.kind == KIND_POWER_LAW:
-        return 1, 1.0, seq.exponent
-    if seq.kind == KIND_CUSTOM and seq.tail == TAIL_POWER_LAW:
-        return len(seq.values), seq.values[-1], seq.tail_exponent
-    return None
-
-
 def _geometric_partial_sum(seq: CoefficientSequence, m_max: int) -> float:
-    """sum_{m <= m_max} a_m sigma^m for a tail whose terms a_m sigma^m are constant."""
-    if seq.kind == KIND_GEOMETRIC:
-        return float(m_max)  # every term is ratio^m / ratio^m = 1
-    vals = np.asarray(seq.values[:m_max])
-    m = np.arange(1, vals.size + 1, dtype=float)
+    """sum_{m <= m_max} a_m sigma^m for a ratio tail: beyond the head every
+    term equals a_L sigma^L."""
+    head = seq.head[:m_max]
+    rest = m_max - len(head)
+    L, a_L = seq.anchor
+    a = np.array(head + (a_L,) * rest)
+    m = np.concatenate([np.arange(1.0, len(head) + 1.0), np.full(rest, float(L))])
     # in logs, so that neither a_m nor sigma^m overflows on its own
     with np.errstate(divide="ignore", over="ignore"):
-        head = np.exp(np.log(vals) + m * math.log(seq.sigma))
-    return float(np.sum(np.pad(head, (0, m_max - head.size), mode="edge")))
+        terms = np.exp(np.log(a) + m * math.log(seq.sigma))
+    return float(np.sum(terms))
 
 
 def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KStatus:
     """Decide convergence of K = sum a_m sigma^m from the shape of the tail.
 
-    The log kind telescopes.  A geometric tail has a_m sigma^m constant and
-    diverges.  A power-law tail c m^p diverges for p >= -1; for p < -1 the
+    A log tail telescopes.  A ratio tail has a_m sigma^m constant and
+    diverges.  A power tail c m^p diverges for p >= -1; for p < -1 the
     tail beyond each doubling cutoff M = 64, ..., m_max is enclosed by the
     Euler-Maclaurin sums through the g'(M)/12 and the g'''(M)/720 terms
     (g = c x^p is completely monotone, so the remainder alternates in sign
@@ -271,7 +238,7 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
         raise ValueError("tol must be positive")
     eps = np.finfo(float).eps
 
-    if seq.kind == KIND_LOG:
+    if seq.rule == RULE_LOG:
         # telescoping: the tail beyond M is exactly 1/M
         M = min(m_max, 4096)
         partial = float(np.sum(seq.coefficients(M)))
@@ -284,15 +251,14 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
             cutoff=M,
         )
 
-    tail = _power_tail(seq)
-    if tail is None:
+    if seq.rule == RULE_RATIO:
         return KStatus(
             status=STATUS_DIVERGENT,
             partial_sum=_geometric_partial_sum(seq, m_max),
             cutoff=m_max,
             detail="geometric tail: a_m sigma^m is constant",
         )
-    L, a_L, p = tail
+    (L, a_L), p = seq.anchor, seq.rate
     if p >= -1.0:
         return KStatus(
             status=STATUS_DIVERGENT,

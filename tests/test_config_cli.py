@@ -70,10 +70,10 @@ def _write(tmp_path, text, name="exp.ini"):
 
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
-    assert cfg.dim == 1
-    assert cfg.n_cells == 128
-    assert cfg.series_kind == "log"
-    assert cfg.lambda_scale == 1.0
+    assert cfg.problem.grid.dim == 1
+    assert cfg.problem.grid.nx == 128
+    assert cfg.sequence.label == "log"
+    assert cfg.problem.lambda_scale == 1.0
     assert cfg.stop_tol == 1e-8
     assert cfg.n_schedule[0] == 1 and cfg.n_schedule[-1] == 1024
     assert cfg.tolerances.tol_linear == 1e-12
@@ -82,13 +82,16 @@ def test_minimal_config_defaults(tmp_path):
 
 def test_full_config_values(tmp_path):
     cfg = load_config(_write(tmp_path, FULL))
-    assert cfg.dim == 2
-    assert (cfg.x0, cfg.x1, cfg.y0, cfg.y1) == (0.0, 2.0, -1.0, 1.0)
-    assert (cfg.n_cells, cfg.n_cells_y) == (16, 12)
-    assert cfg.coeff_kind == "linear-ramp"
-    assert cfg.f_kind == "bump"
-    assert cfg.lambda_scale == 4.0
-    assert cfg.series_ratio == 0.5
+    g = cfg.problem.grid
+    assert g.dim == 2
+    assert (g.x0, g.x1, g.y0, g.y1) == (0.0, 2.0, -1.0, 1.0)
+    assert (g.nx, g.ny) == (16, 12)
+    x, y = g.node_coordinates()
+    np.testing.assert_allclose(cfg.problem.field.a1, 1.5 + 0.25 * x, rtol=1e-15)
+    np.testing.assert_allclose(cfg.problem.field.a2, 1.5 + 0.5 * y, rtol=1e-15)
+    assert cfg.problem.f.values.max() == pytest.approx(2.0, rel=1e-12)  # bump peak
+    assert cfg.problem.lambda_scale == 4.0
+    assert cfg.sequence.rate == 0.5
     assert cfg.tolerances.tol_linear == 1e-11
     assert cfg.tolerances.m_max == 64
     assert cfg.n_schedule == (1, 2, 4, 8)
@@ -104,22 +107,22 @@ def test_config_hash_is_sha256_of_bytes(tmp_path):
 
 def test_config_builds_runtime_objects(tmp_path):
     cfg = load_config(_write(tmp_path, FULL))
-    p = cfg.problem()
+    p = cfg.problem
     assert p.grid.dim == 2
     assert p.lambda_scale == 4.0
     # bump datum peaks at the configured center with the configured amplitude
     j = np.argmin(np.abs(p.grid.ys - 0.0))
     i = np.argmin(np.abs(p.grid.xs - 1.0))
     assert p.f.values[j, i] == pytest.approx(2.0, rel=1e-12)
-    seq = cfg.sequence()
-    assert seq.kind == "geometric"
+    seq = cfg.sequence
+    assert (seq.label, seq.rule) == ("geometric(ratio=0.5)", "ratio")
 
 
 def test_bump_profile_formula(tmp_path):
     text = MINIMAL + "\n[data]\nkind = bump\ncenter_x = 0.5\nwidth = 0.2\namplitude = 3.0\n"
     cfg = load_config(_write(tmp_path, text))
-    f = cfg.problem().f
-    xs = cfg.grid().xs
+    f = cfg.problem.f
+    xs = cfg.problem.grid.xs
     expect = 3.0 * np.exp(-((xs - 0.5) ** 2) / (2 * 0.2**2))
     np.testing.assert_allclose(f.values, expect, rtol=1e-12)
 
@@ -130,18 +133,8 @@ def test_file_datum_resolved_relative_to_config(tmp_path):
     write_gridfunction_csv(u, str(tmp_path / "f.csv"))
     text = "[domain]\nn_cells = 16\n\n[series]\nkind = harmonic\n\n[data]\nkind = file\npath = f.csv\n"
     cfg = load_config(_write(tmp_path, text))
-    f = cfg.problem().f
+    f = cfg.problem.f
     np.testing.assert_allclose(f.values, u.values)
-
-
-def test_series_tol_precedence(tmp_path):
-    # series.tol applies unless solver.tol_series overrides it
-    only_series = MINIMAL + "tol = 1e-6\n"
-    cfg = load_config(_write(tmp_path, only_series))
-    assert cfg.tolerances.tol_series == 1e-6
-    both = only_series + "\n[solver]\ntol_series = 1e-5\n"
-    cfg = load_config(_write(tmp_path, both, name="b.ini"))
-    assert cfg.tolerances.tol_series == 1e-5
 
 
 @pytest.mark.parametrize(
@@ -149,6 +142,7 @@ def test_series_tol_precedence(tmp_path):
     [
         ("[nosuch]\nx = 1\n", "unknown section"),
         ("[series]\nkind = log\ncolor = red\n", "series.color"),
+        (MINIMAL + "tol = 1e-6\n", "series.tol"),
         ("[series]\nkind = fibonacci\n", "series.kind"),
         ("[series]\n", "series.kind is required"),
         (MINIMAL + "\n[domain]\ndim = 3\n", "domain.dim"),
@@ -480,6 +474,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert entry(["analyze", "--config", slow]) == 2
     assert "error (solver)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", "exp.ini", "--out", "missing_dir/r.json"],
+        ["solve", "--config", "exp.ini", "--n", "2", "--out", "missing_dir/u.csv"],
+        ["analyze", "--config", "."],
+    ],
+)
+def test_cli_os_errors_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, ANALYZE_INI)
+    assert entry(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and err.count("\n") == 1
 
 
 def test_cli_version(capsys):

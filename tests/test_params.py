@@ -1,5 +1,9 @@
 """Tolerance bundle validation and the public package surface."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 import porolab
@@ -73,3 +77,21 @@ def test_top_level_exports():
     ):
         assert hasattr(porolab, name), name
     assert porolab.__version__ == "0.1.0"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer rebinds these names; a refactor that drops one
+    # would leave its layer untimed
+    tracer = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("TARGETS", "CG_TARGETS")
+    }
+    assert tables["TARGETS"] and tables["CG_TARGETS"]
+    names = [(module, attr) for module, attr, *_ in tables["TARGETS"]]
+    names += [(module, "cg") for module, _ in tables["CG_TARGETS"]]
+    for module, attr in names:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

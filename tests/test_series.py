@@ -95,7 +95,7 @@ def test_custom_rejects_bad_values(values, err):
 def test_custom_power_law_tail_exponent_is_finite():
     # the quotient 1e-300 / 1e300 underflows to 0; the fitted exponent must not
     seq = custom([1.0, 1e300, 1e-300], tail="power-law")
-    assert seq.tail_exponent == pytest.approx(-600 * math.log(10) / math.log(1.5))
+    assert seq.rate == pytest.approx(-600 * math.log(10) / math.log(1.5))
     assert boundary_sum(seq, tol=1e-8).is_finite
     with pytest.raises(InvalidSequence, match="exponent must be finite"):
         custom([1.0, 0.5], tail="power-law", tail_exponent=math.inf)
@@ -109,10 +109,10 @@ def test_geometric_rejects_nonpositive_ratio():
 
 
 def test_make_sequence_dispatch():
-    assert make_sequence("harmonic").kind == "harmonic"
-    assert make_sequence("geometric", ratio=2.0).ratio == 2.0
-    assert make_sequence("power-law", exponent=1.5).exponent == 1.5
-    assert make_sequence("custom", values=[1, 2]).values == (1.0, 2.0)
+    assert make_sequence("harmonic").label == "harmonic"
+    assert make_sequence("geometric", ratio=2.0).rate == 2.0
+    assert make_sequence("power-law", exponent=1.5).rate == 1.5
+    assert make_sequence("custom", values=[1, 2]).head == (1.0, 2.0)
     with pytest.raises(InvalidSequence):
         make_sequence("fibonacci")
     with pytest.raises(InvalidSequence):
