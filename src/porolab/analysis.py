@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import series as series_mod
 from .elliptic import (
     EllipticProblem,
     GridFunction,
     CoefficientField,
-    Grid,
     measure_above,
     sup_norm,
 )
@@ -37,8 +36,6 @@ VERDICT_EXISTS = "ExistsCertified"
 VERDICT_NONEXIST = "NonexistenceProven"
 VERDICT_INDETERMINATE = "Indeterminate"
 VERDICT_ALL_DATA = "ExistsAllData"
-
-_VERDICT_ORDER = {VERDICT_EXISTS: 0, VERDICT_INDETERMINATE: 1, VERDICT_NONEXIST: 2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,34 +82,22 @@ def half_resolution(problem: EllipticProblem) -> EllipticProblem | None:
     None when an axis has an odd cell count or fewer than 8 cells.
     """
     g = problem.grid
-    if g.nx % 2 or g.nx < 8:
+    if any(n % 2 or n < 8 for n in (g.nx, g.ny)[: g.dim]):
         return None
-    if g.dim == 1:
-        cg_grid = Grid(dim=1, x0=g.x0, x1=g.x1, nx=g.nx // 2)
-        a1 = problem.field.a1[::2]
-        f_vals = problem.f.values[::2]
-        fld = CoefficientField(
-            grid=cg_grid, a1=a1, alpha=problem.field.alpha, beta=problem.field.beta
-        )
-    else:
-        if g.ny % 2 or g.ny < 8:
-            return None
-        cg_grid = Grid(
-            dim=2, x0=g.x0, x1=g.x1, nx=g.nx // 2, y0=g.y0, y1=g.y1, ny=g.ny // 2
-        )
-        a1 = problem.field.a1[::2, ::2]
-        a2 = problem.field.a2[::2, ::2]
-        f_vals = problem.f.values[::2, ::2]
-        fld = CoefficientField(
-            grid=cg_grid,
-            a1=a1,
-            a2=a2,
-            alpha=problem.field.alpha,
-            beta=problem.field.beta,
-        )
-    f_cg = GridFunction(grid=cg_grid, values=f_vals)
+    half = replace(g, nx=g.nx // 2, ny=None if g.ny is None else g.ny // 2)
+    every_other = (slice(None, None, 2),) * g.dim
+    fld = problem.field
     return EllipticProblem(
-        grid=cg_grid, field=fld, f=f_cg, lambda_scale=problem.lambda_scale
+        grid=half,
+        field=CoefficientField(
+            grid=half,
+            a1=fld.a1[every_other],
+            a2=None if fld.a2 is None else fld.a2[every_other],
+            alpha=fld.alpha,
+            beta=fld.beta,
+        ),
+        f=GridFunction(grid=half, values=problem.f.values[every_other]),
+        lambda_scale=problem.lambda_scale,
     )
 
 
@@ -232,11 +217,6 @@ def lambda_sweep(
     )
 
 
-def verdict_rank(verdict: str) -> int:
-    """Order of the three bracket verdicts along increasing load."""
-    return _VERDICT_ORDER[verdict]
-
-
 # ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
@@ -273,8 +253,13 @@ def report_to_dict(report: DiagnosisReport) -> dict:
     }
 
 
-def report_to_json(report: DiagnosisReport, comment: str | None = None) -> str:
-    body = json.dumps(report_to_dict(report), indent=2)
+def to_json(obj: dict, comment: str | None = None) -> str:
+    """Indented JSON of a flat dict (inf as "inf"), after an optional # comment line."""
+    body = json.dumps({k: _json_value(v) for k, v in obj.items()}, indent=2)
     if comment is None:
         return body + "\n"
     return f"# {comment}\n{body}\n"
+
+
+def report_to_json(report: DiagnosisReport, comment: str | None = None) -> str:
+    return to_json(report_to_dict(report), comment)

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 configuration problem, 2 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -19,13 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    _json_value,
-    diagnose,
-    half_resolution,
-    lambda_sweep,
-    report_to_json,
-)
+from .analysis import diagnose, half_resolution, lambda_sweep, report_to_json, to_json
 from .config import ExperimentConfig, load_config
 from .elliptic import GridFunction, write_gridfunction_csv
 from .errors import ConfigError, InvalidSequence, NoConvergence, PorolabError
@@ -79,12 +72,6 @@ def _fmt(x) -> str:
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     return f"{x:.12g}"
-
-
-def _write_json(path: str, obj: dict, comment: str) -> None:
-    body = json.dumps({k: _json_value(v) for k, v in obj.items()}, indent=2)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n{body}\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -187,7 +174,8 @@ def _cmd_flatzone(args) -> int:
         "n_large": result.n_large,
         "detail": result.detail,
     }
-    _write_json(_summary_path(args.out), summary, _comment(cfg))
+    with open(_summary_path(args.out), "w", newline="") as fh:
+        fh.write(to_json(summary, _comment(cfg)))
     if result.status == ZONE_NOT_APPLICABLE:
         print(f"flat zone: {result.status} ({result.detail})")
     else:

@@ -3,7 +3,8 @@
 Sections: [domain] geometry, [coeff] diffusion field, [data] the datum f and
 its load factor, [series] the coefficient sequence, [solver] tolerances and
 iteration caps, [run] the approximation schedule.  Every key is validated and
-errors name the offending section.key.  Loading builds the problem (grid,
+errors name the offending section.key; a key that the chosen kind (or a 1D
+grid) does not read is an error too.  Loading builds the problem (grid,
 coefficient field, datum) and the sequence once.  The raw file bytes are
 hashed so outputs can state exactly which configuration produced them.
 """
@@ -29,7 +30,7 @@ from .elliptic import (
 )
 from .errors import ConfigError
 from .params import Tolerances
-from .series import KINDS, TAILS, CoefficientSequence, make_sequence
+from .series import TAILS, CoefficientSequence, make_sequence
 
 _KNOWN_KEYS = {
     "domain": {"dim", "x0", "x1", "y0", "y1", "n_cells", "n_cells_y"},
@@ -57,6 +58,25 @@ _KNOWN_KEYS = {
     "run": {"n_schedule", "stop_tol"},
 }
 
+# keys that only some kinds of a section read, and keys that only a 2D grid
+# reads; set anywhere else they would drive nothing, so loading rejects them
+_KIND_KEYS = {
+    "coeff": {"constant": {"value"}, "linear-ramp": {"base", "slope_x", "slope_y"}},
+    "data": {
+        "constant": {"value"},
+        "bump": {"center_x", "center_y", "width", "amplitude"},
+        "file": {"path"},
+    },
+    "series": {
+        "harmonic": set(),
+        "log": set(),
+        "geometric": {"ratio"},
+        "power-law": {"exponent"},
+        "custom": {"values", "tail", "tail_exponent"},
+    },
+}
+_2D_KEYS = {"domain": {"y0", "y1", "n_cells_y"}, "coeff": {"slope_y"}, "data": {"center_y"}}
+
 _DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
@@ -76,7 +96,7 @@ class ExperimentConfig:
 class _SectionReader:
     """Typed accessors that blame section.key on any parse failure."""
 
-    def __init__(self, parser: configparser.ConfigParser, section: str):
+    def __init__(self, parser: configparser.ConfigParser, section: str, dim=2):
         self.section = section
         self.raw = dict(parser[section]) if parser.has_section(section) else {}
         unknown = set(self.raw) - _KNOWN_KEYS[section]
@@ -84,6 +104,23 @@ class _SectionReader:
             raise ConfigError(
                 f"unknown key {section}.{sorted(unknown)[0]} in configuration"
             )
+        if dim == 1:
+            self.reject(_2D_KEYS.get(section, set()), "domain.dim = 1")
+
+    def reject(self, keys: set[str], when: str) -> None:
+        """Fail on the first of ``keys`` that is set: nothing reads it ``when``."""
+        unread = sorted(keys & set(self.raw))
+        if unread:
+            raise ConfigError(f"{self.section}.{unread[0]} is not read when {when}")
+
+    def kind(self, default=None):
+        """The section's kind; a key that only other kinds read is an error."""
+        table = _KIND_KEYS[self.section]
+        val = self.text("kind", default=default, choices=set(table))
+        if val is not None:
+            others = set().union(*table.values()) - table[val]
+            self.reject(others, f"{self.section}.kind = {val}")
+        return val
 
     def _get(self, key, cast, default, kind):
         if key not in self.raw:
@@ -158,10 +195,10 @@ def load_config(path: str) -> ExperimentConfig:
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{section}] in configuration")
 
-    dom = _SectionReader(parser, "domain")
-    dim = dom.integer("dim", default=1)
+    dim = _SectionReader(parser, "domain").integer("dim", default=1)
     if dim not in (1, 2):
         raise ConfigError("domain.dim must be 1 or 2")
+    dom = _SectionReader(parser, "domain", dim)
     x0 = dom.real("x0", default=0.0)
     x1 = dom.real("x1", default=1.0)
     y0 = dom.real("y0", default=x0)
@@ -174,45 +211,42 @@ def load_config(path: str) -> ExperimentConfig:
         n_cells_y=dom.integer("n_cells_y", minimum=4),
     )
 
-    coeff = _SectionReader(parser, "coeff")
-    coeff_kind = coeff.text("kind", default="constant", choices={"constant", "linear-ramp"})
-    coeff_value = coeff.real("value", default=1.0, positive=True)
-    base = coeff.real("base", default=1.0)
-    slope_x = coeff.real("slope_x", default=0.0)
-    slope_y = coeff.real("slope_y", default=0.0)
+    coeff = _SectionReader(parser, "coeff", dim)
+    if coeff.kind(default="constant") == "constant":
+        field = constant_field(grid, coeff.real("value", default=1.0, positive=True))
+    else:
+        field = ramp_field(
+            grid,
+            base=coeff.real("base", default=1.0),
+            slope_x=coeff.real("slope_x", default=0.0),
+            slope_y=coeff.real("slope_y", default=0.0),
+        )
     alpha = coeff.real("alpha", positive=True)
     beta = coeff.real("beta", positive=True)
-    if coeff_kind == "constant":
-        field = constant_field(grid, coeff_value)
-    else:
-        field = ramp_field(grid, base=base, slope_x=slope_x, slope_y=slope_y)
     if alpha is not None or beta is not None:
         field = CoefficientField(
             grid=grid, a1=field.a1, a2=field.a2, alpha=alpha or 0.0, beta=beta or 0.0
         )
 
-    data = _SectionReader(parser, "data")
-    f_kind = data.text("kind", default="constant", choices={"constant", "bump", "file"})
-    f_value = data.real("value", default=1.0)
-    if f_value < 0:
-        raise ConfigError("data.value must be nonnegative")
-    center_x = data.real("center_x", default=0.5 * (x0 + x1))
-    center_y = data.real("center_y", default=0.5 * (y0 + y1))
-    width = data.real("width", default=0.1, positive=True)
-    amplitude = data.real("amplitude", default=1.0)
-    if amplitude < 0:
-        raise ConfigError("data.amplitude must be nonnegative")
-    f_path = data.text("path")
-    lambda_scale = data.real("lambda_scale", default=1.0, positive=True)
+    data = _SectionReader(parser, "data", dim)
+    f_kind = data.kind(default="constant")
     if f_kind == "constant":
+        f_value = data.real("value", default=1.0)
+        if f_value < 0:
+            raise ConfigError("data.value must be nonnegative")
         f = GridFunction(grid=grid, values=np.full(grid.node_shape, f_value))
     elif f_kind == "bump":
+        width = data.real("width", default=0.1, positive=True)
+        amplitude = data.real("amplitude", default=1.0)
+        if amplitude < 0:
+            raise ConfigError("data.amplitude must be nonnegative")
         coords = grid.node_coordinates()
-        r2 = (coords[0] - center_x) ** 2
+        r2 = (coords[0] - data.real("center_x", default=0.5 * (x0 + x1))) ** 2
         if grid.dim == 2:
-            r2 = r2 + (coords[1] - center_y) ** 2
+            r2 = r2 + (coords[1] - data.real("center_y", default=0.5 * (y0 + y1))) ** 2
         f = GridFunction(grid=grid, values=amplitude * np.exp(-r2 / (2.0 * width**2)))
     else:
+        f_path = data.text("path")
         if not f_path:
             raise ConfigError("data.path is required when data.kind = file")
         if not os.path.isabs(f_path):
@@ -220,19 +254,23 @@ def load_config(path: str) -> ExperimentConfig:
         if not os.path.exists(f_path):
             raise ConfigError(f"data.path does not exist: {f_path}")
         f = read_gridfunction_csv(f_path, grid)
+    lambda_scale = data.real("lambda_scale", default=1.0, positive=True)
     problem = EllipticProblem(grid=grid, field=field, f=f, lambda_scale=lambda_scale)
 
     ser = _SectionReader(parser, "series")
-    series_kind = ser.text("kind", choices=set(KINDS))
+    series_kind = ser.kind()
     if series_kind is None:
         raise ConfigError("series.kind is required")
     m_max = ser.integer("m_max", default=256, minimum=16)
+    tail = ser.text("tail", choices=set(TAILS))
+    if tail != "power-law":
+        ser.reject({"tail_exponent"}, "series.tail = repeat-ratio")
     sequence = make_sequence(
         series_kind,
         ratio=ser.real("ratio"),
         exponent=ser.real("exponent"),
         values=ser.real_list("values"),
-        tail=ser.text("tail", choices=set(TAILS)),
+        tail=tail,
         tail_exponent=ser.real("tail_exponent"),
     )
 

@@ -247,39 +247,10 @@ class EllipticProblem:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """Interior-node matrix for -div(A grad .) plus face data for energy sums.
-
-    ``matrix`` is CSR over interior nodes in row-major order.  The face
-    coefficient arrays retain the arithmetic means used in assembly so the
-    energy of a function can be recomputed directly from differences,
-    independently of the matrix.
-    """
+    """Matrix of -div(A grad .): CSR over interior nodes in row-major order."""
 
     grid: Grid
     matrix: sp.csr_matrix
-    face_x: np.ndarray
-    face_y: np.ndarray | None = None
-
-    def quadratic_form(self, u: GridFunction) -> float:
-        """u . A_h u . cellvol, the discrete energy (matrix route)."""
-        v = u.interior()
-        return float(v @ (self.matrix @ v)) * self.grid.cell_volume
-
-    def energy_pairing(self, w: GridFunction, phi: GridFunction) -> float:
-        """phi . A_h w . cellvol; equals the face-sum pairing for zero-boundary w."""
-        return float(phi.interior() @ (self.matrix @ w.interior())) * self.grid.cell_volume
-
-    def face_energy(self, u: GridFunction) -> float:
-        """Sum over faces of a_face (difference quotient)^2 cellvol (direct route)."""
-        g = self.grid
-        v = u.values
-        if g.dim == 1:
-            d = np.diff(v) / g.hx
-            return float(np.sum(self.face_x * d * d) * g.hx)
-        dx = np.diff(v, axis=1) / g.hx
-        dy = np.diff(v, axis=0) / g.hy
-        total = np.sum(self.face_x * dx * dx) + np.sum(self.face_y * dy * dy)
-        return float(total * g.cell_volume)
 
 
 def assemble_operator(grid: Grid, field: CoefficientField) -> SparseOperator:
@@ -297,7 +268,6 @@ def assemble_operator(grid: Grid, field: CoefficientField) -> SparseOperator:
         )
 
     if grid.dim == 1:
-        n = grid.nx - 1
         face = 0.5 * (field.a1[:-1] + field.a1[1:])  # face j sits between nodes j, j+1
         inv_h2 = 1.0 / grid.hx**2
         west = face[:-1] * inv_h2
@@ -306,42 +276,35 @@ def assemble_operator(grid: Grid, field: CoefficientField) -> SparseOperator:
         mat = sp.diags(
             [-west[1:], diag, -east[:-1]], offsets=[-1, 0, 1], format="csr"
         )
-        return SparseOperator(grid=grid, matrix=mat, face_x=face)
+        return SparseOperator(grid=grid, matrix=mat)
 
-    nx, ny = grid.nx, grid.ny
     face_x = 0.5 * (field.a1[:, :-1] + field.a1[:, 1:])  # shape (ny+1, nx)
     face_y = 0.5 * (field.a2[:-1, :] + field.a2[1:, :])  # shape (ny, nx+1)
     inv_hx2 = 1.0 / grid.hx**2
     inv_hy2 = 1.0 / grid.hy**2
-
-    jj, ii = np.meshgrid(np.arange(1, ny), np.arange(1, nx), indexing="ij")
-    k = (jj - 1) * (nx - 1) + (ii - 1)  # interior flat index, row-major by y
-
-    west = face_x[jj, ii - 1] * inv_hx2
-    east = face_x[jj, ii] * inv_hx2
-    south = face_y[jj - 1, ii] * inv_hy2
-    north = face_y[jj, ii] * inv_hy2
+    # couplings of each interior node (rows y, columns x) to its four neighbours
+    west = face_x[1:-1, :-1] * inv_hx2
+    east = face_x[1:-1, 1:] * inv_hx2
+    south = face_y[:-1, 1:-1] * inv_hy2
+    north = face_y[1:, 1:-1] * inv_hy2
     diag = west + east + south + north
-
-    rows = [k.ravel()]
-    cols = [k.ravel()]
-    vals = [diag.ravel()]
-    neighbor = [
-        (ii > 1, k - 1, west),
-        (ii < nx - 1, k + 1, east),
-        (jj > 1, k - (nx - 1), south),
-        (jj < ny - 1, k + (nx - 1), north),
-    ]
-    for keep, col, val in neighbor:
-        m = keep.ravel()
-        rows.append(k.ravel()[m])
-        cols.append(col.ravel()[m])
-        vals.append(-val.ravel()[m])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_interior, grid.n_interior),
-    ).tocsr()
-    return SparseOperator(grid=grid, matrix=mat, face_x=face_x, face_y=face_y)
+    # a row's first west and last east neighbour sit on the rim, not in the
+    # flat order; sp.diags drops these zeros
+    west[:, 0] = 0.0
+    east[:, -1] = 0.0
+    m = grid.nx - 1
+    mat = sp.diags(
+        [
+            -south.ravel()[m:],
+            -west.ravel()[1:],
+            diag.ravel(),
+            -east.ravel()[:-1],
+            -north.ravel()[:-m],
+        ],
+        offsets=[-m, -1, 0, 1, m],
+        format="csr",
+    )
+    return SparseOperator(grid=grid, matrix=mat)
 
 
 def solve_linear(
@@ -397,12 +360,9 @@ def h1_seminorm(u: GridFunction) -> float:
     return float(np.sqrt((np.sum(dx * dx) + np.sum(dy * dy)) * g.cell_volume))
 
 
-def l2_norm(u: GridFunction) -> float:
-    return float(np.sqrt(np.sum(u.values**2) * u.grid.cell_volume))
-
-
 def h1_norm(u: GridFunction) -> float:
-    return float(np.hypot(l2_norm(u), h1_seminorm(u)))
+    l2 = np.sqrt(np.sum(u.values**2) * u.grid.cell_volume)
+    return float(np.hypot(l2, h1_seminorm(u)))
 
 
 def measure_above(u: GridFunction, M: float) -> float:

@@ -2,16 +2,14 @@
 
 One linear solve at unit load gives v1 (``solve_unit_load``), and the
 auxiliary solution is v = lambda * v1 by linearity; every approximation order
-n then only inverts the partial sum nodewise.  The module tracks sup/energy
-histories, verifies the truncated weak formulation against a small test-
-function set that includes v1, measures flat zones (nodes where v reaches the
-boundary sum K), and checks the tail-decay envelope that forces u <= sigma in
-the limit.  No eigensolve runs here.
+n then only inverts the partial sum nodewise.  The module tracks the sup of
+each order, verifies the truncated weak formulation against a small test-
+function set that includes v1, and measures flat zones (nodes where v reaches
+the boundary sum K).  No eigensolve runs here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +21,14 @@ from .elliptic import (
     SparseOperator,
     assemble_operator,
     h1_norm,
-    h1_seminorm,
     measure_above,
     require_zero_boundary,
     solve_linear,
     sup_norm,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .params import Tolerances
-from .series import CoefficientSequence, SeriesProfile, q_partial_inverse
+from .series import CoefficientSequence, q_partial_inverse
 
 ZONE_OK = "OK"
 ZONE_NOT_APPLICABLE = "NotApplicable"
@@ -57,16 +54,12 @@ class FlatZoneResult:
 class ApproximationRun:
     """Everything produced by one schedule of approximation orders."""
 
-    profile: SeriesProfile
     v: GridFunction
     u_by_n: dict[int, GridFunction]
     sup_history: tuple[tuple[int, float], ...]
-    h1_history: tuple[tuple[int, float], ...]
     residuals: tuple[tuple[int, float], ...]
     converged_u: GridFunction
     converged: bool
-    schedule_exhausted: bool
-    flat_zone: FlatZoneResult
 
     @property
     def executed(self) -> tuple[int, ...]:
@@ -197,12 +190,11 @@ def converge(
     n_schedule,
     stop_tol: float,
     tols: Tolerances | None = None,
-    with_residuals: bool = True,
 ) -> ApproximationRun:
     """Run the approximation schedule until successive iterates settle.
 
     Stops once sup|u_n - u_next| <= stop_tol; otherwise runs the whole
-    schedule and flags it exhausted (expected where the limit touches sigma).
+    schedule (expected where the limit touches sigma).
     """
     tols = tols if tols is not None else Tolerances()
     schedule = [int(n) for n in n_schedule]
@@ -215,14 +207,12 @@ def converge(
     if stop_tol <= 0:
         raise ConfigError("run.stop_tol must be positive")
 
-    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
     op, v1 = solve_unit_load(problem, tols)
     v = v1.scaled(problem.lambda_scale)
-    test_set = default_test_set(v1) if with_residuals else None
+    test_set = default_test_set(v1)
 
     u_by_n: dict[int, GridFunction] = {}
     sup_hist = []
-    h1_hist = []
     res_hist = []
     prev: GridFunction | None = None
     converged = False
@@ -230,40 +220,34 @@ def converge(
         u = approximate_solution(seq, problem, n, tols, v=v)
         u_by_n[n] = u
         sup_hist.append((n, sup_norm(u)))
-        h1_hist.append((n, h1_seminorm(u)))
-        if with_residuals:
-            r = weak_residual(
-                seq, problem, u, n, test_set=test_set, tols=tols, op=op
-            )
-            res_hist.append((n, r))
-        if prev is not None:
-            diff = float(np.max(np.abs(u.values - prev.values)))
-            if diff <= stop_tol:
-                converged = True
-                prev = u
-                break
+        r = weak_residual(seq, problem, u, n, test_set=test_set, tols=tols, op=op)
+        res_hist.append((n, r))
+        if prev is not None and np.max(np.abs(u.values - prev.values)) <= stop_tol:
+            converged = True
+            break
         prev = u
 
-    last_n = sup_hist[-1][0]
-    flat = _flat_zone_result(prof, v, u_by_n[last_n], last_n)
     return ApproximationRun(
-        profile=prof,
         v=v,
         u_by_n=u_by_n,
         sup_history=tuple(sup_hist),
-        h1_history=tuple(h1_hist),
         residuals=tuple(res_hist),
-        converged_u=u_by_n[last_n],
+        converged_u=u,
         converged=converged,
-        schedule_exhausted=not converged,
-        flat_zone=flat,
     )
 
 
-def _flat_zone_result(
-    prof: SeriesProfile, v: GridFunction | None, u: GridFunction | None, n: int
+def flat_zone(
+    seq: CoefficientSequence,
+    problem: EllipticProblem,
+    n_large: int,
+    tols: Tolerances | None = None,
 ) -> FlatZoneResult:
-    """{v >= K} and the gap of u to sigma on it; v and u are read only if K is finite."""
+    """Locate {v >= K} and the mean distance of u_{n_large} to sigma on it."""
+    if n_large < 1:
+        raise ValueError("n_large must be >= 1")
+    tols = tols if tols is not None else Tolerances()
+    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
     if not prof.K.is_finite:
         reason = (
             "boundary sum divergent"
@@ -271,6 +255,8 @@ def _flat_zone_result(
             else f"boundary sum {prof.K.status}"
         )
         return FlatZoneResult(status=ZONE_NOT_APPLICABLE, sigma=prof.sigma, detail=reason)
+    v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
+    u = approximate_solution(seq, problem, n_large, tols, v=v)
     mask = v.values >= prof.K.value
     gap = (
         float(np.mean(np.abs(u.values[mask] - prof.sigma))) if mask.any() else 0.0
@@ -284,80 +270,5 @@ def _flat_zone_result(
         u=u,
         sigma=prof.sigma,
         K_value=prof.K.value,
-        n_large=n,
+        n_large=n_large,
     )
-
-
-def flat_zone(
-    seq: CoefficientSequence,
-    problem: EllipticProblem,
-    n_large: int,
-    tols: Tolerances | None = None,
-) -> FlatZoneResult:
-    """Locate {v >= K} and the distance of u_{n_large} to sigma on it."""
-    if n_large < 1:
-        raise ValueError("n_large must be >= 1")
-    tols = tols if tols is not None else Tolerances()
-    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
-    v = u = None
-    if prof.K.is_finite:
-        v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
-        u = approximate_solution(seq, problem, n_large, tols, v=v)
-    return _flat_zone_result(prof, v, u, n_large)
-
-
-@dataclass(frozen=True, eq=False)
-class DecayTable:
-    """Measured exceedance volumes against the n (sigma/M)^n reference."""
-
-    M: float
-    sigma: float
-    rows: tuple[tuple[int, float], ...]
-    envelope: tuple[tuple[int, float], ...]
-    passed: bool
-
-
-def tail_decay_check(run: ApproximationRun, M: float, sigma: float) -> DecayTable:
-    """Compare measure{u_n >= M} with the decay envelope anchored at the first order.
-
-    The envelope is C n (sigma/M)^n with C matching the first measured point;
-    PASS means every later measure sits at or below it.
-    """
-    if not M > sigma:
-        raise DomainError(f"tail check needs M > sigma (got M={M}, sigma={sigma})")
-    rows = []
-    for n in run.executed:
-        rows.append((n, measure_above(run.u_by_n[n], M)))
-    n1, m1 = rows[0]
-    ratio = sigma / M
-    if m1 > 0.0 and ratio > 0.0:
-        scale = m1 / (n1 * ratio**n1)
-    else:
-        scale = 0.0
-    envelope = [(n, scale * n * ratio**n) for n, _ in rows]
-    passed = all(
-        meas <= env for (_, meas), (_, env) in zip(rows[1:], envelope[1:])
-    )
-    return DecayTable(
-        M=M, sigma=sigma, rows=tuple(rows), envelope=tuple(envelope), passed=passed
-    )
-
-
-def history_csv(
-    run: ApproximationRun, M: float | None = None, comment: str | None = None
-) -> str:
-    """History rows `n,sup_u,h1_seminorm,residual,measure_above_M`.
-
-    Columns a run did not produce stay empty rather than disappearing.
-    """
-    res = dict(run.residuals)
-    lines = []
-    if comment is not None:
-        lines.append(f"# {comment}")
-    lines.append("n,sup_u,h1_seminorm,residual,measure_above_M")
-    h1 = dict(run.h1_history)
-    for n, sup in run.sup_history:
-        r = f"{res[n]:.16e}" if n in res else ""
-        m = f"{measure_above(run.u_by_n[n], M):.16e}" if M is not None else ""
-        lines.append(f"{n},{sup:.16e},{h1[n]:.16e},{r},{m}")
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidSequence, NoConvergence
 
-KINDS = ("harmonic", "log", "geometric", "power-law", "custom")
 TAILS = ("repeat-ratio", "power-law")
 
 RULE_RATIO = "ratio"

@@ -14,25 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import cg
 
-from .errors import DegenerateWeight, InvalidWeight, NoConvergence
+from .errors import InvalidWeight, NoConvergence
 from .elliptic import GridFunction, SparseOperator
 
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """Principal eigenvalue with its positive, f-normalized eigenfunction.
-
-    ``residual`` is ||A_h phi - lambda w phi||_2 / ||A_h phi||_2 on interior
-    nodes; ``rayleigh`` re-evaluates the quotient on the returned iterate as an
-    independent consistency value.
-    """
+    """Principal eigenvalue, its positive f-normalized eigenfunction, and the
+    number of inverse-iteration steps that produced them."""
 
     lambda1: float
     phi1: GridFunction
-    residual: float
-    rayleigh: float
     iterations: int
-    sup_phi1: float
 
 
 def _weight_vector(op: SparseOperator, f: GridFunction) -> np.ndarray:
@@ -44,19 +37,6 @@ def _weight_vector(op: SparseOperator, f: GridFunction) -> np.ndarray:
     if not np.any(w > 0):
         raise InvalidWeight("weight f must not vanish identically")
     return w
-
-
-def rayleigh_quotient(op: SparseOperator, f: GridFunction, w: GridFunction) -> float:
-    """Discrete Rayleigh quotient: energy of w over its f-weighted mass."""
-    if np.any(f.values < 0):
-        raise InvalidWeight("weight f must be nonnegative")
-    vol = op.grid.cell_volume
-    wi = w.interior()
-    den = float(np.sum(f.interior() * wi * wi)) * vol
-    if den <= 0.0:
-        raise DegenerateWeight("f-weighted mass of the trial function is zero")
-    num = float(wi @ (op.matrix @ wi)) * vol
-    return num / den
 
 
 def principal_eigenpair(
@@ -108,17 +88,6 @@ def principal_eigenpair(
             f"eigen iteration did not converge in {max_iter} steps (tol={tol})"
         )
 
-    a_phi = op.matrix @ phi
-    residual = float(np.linalg.norm(a_phi - lam * w * phi)) / float(
-        np.linalg.norm(a_phi)
-    )
-    phi_gf = GridFunction.from_interior(op.grid, phi)
-    ray = rayleigh_quotient(op, f, phi_gf)
     return EigenPair(
-        lambda1=lam,
-        phi1=phi_gf,
-        residual=residual,
-        rayleigh=ray,
-        iterations=k,
-        sup_phi1=float(np.max(np.abs(phi))),
+        lambda1=lam, phi1=GridFunction.from_interior(op.grid, phi), iterations=k
     )

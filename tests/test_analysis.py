@@ -18,7 +18,6 @@ from porolab.analysis import (
     lambda_sweep,
     report_to_dict,
     report_to_json,
-    verdict_rank,
 )
 from porolab.elliptic import (
     EllipticProblem,
@@ -60,11 +59,6 @@ def test_classify_band_protects_threshold_equality():
     assert classify(16.0 * (1 - 2 * band), 16.0, 20.0, band) == VERDICT_EXISTS
     assert classify(20.0, 16.0, 20.0, band) == VERDICT_INDETERMINATE
     assert classify(20.0 * (1 + 2 * band), 16.0, 20.0, band) == VERDICT_NONEXIST
-
-
-def test_verdict_rank_is_monotone():
-    assert verdict_rank(VERDICT_EXISTS) < verdict_rank(VERDICT_INDETERMINATE)
-    assert verdict_rank(VERDICT_INDETERMINATE) < verdict_rank(VERDICT_NONEXIST)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,8 @@ def test_sweep_matches_fixed_verdict_pattern():
 def test_sweep_verdicts_are_monotone_in_lambda():
     lams = np.linspace(0.5, 40.0, 60)
     res = lambda_sweep(log_kind(), _unit_problem(), lams)
-    ranks = [verdict_rank(v) for _, v in res.rows]
+    order = [VERDICT_EXISTS, VERDICT_INDETERMINATE, VERDICT_NONEXIST]
+    ranks = [order.index(v) for _, v in res.rows]
     assert ranks == sorted(ranks)
 
 

@@ -155,6 +155,30 @@ def test_file_datum_resolved_relative_to_config(tmp_path):
         (MINIMAL + "\n[run]\nstop_tol = 0\n", "run.stop_tol"),
         (MINIMAL + "\n[solver]\njacobi = maybe\n", "solver.jacobi"),
         (MINIMAL + "\n[solver]\ntol_linear = -1e-9\n", "solver.tol_linear"),
+        # keys that the chosen kind, tail or dimension never reads
+        (MINIMAL + "\n[coeff]\nkind = constant\nslope_x = 5\n", "coeff.slope_x is not"),
+        (MINIMAL + "\n[coeff]\nkind = linear-ramp\nvalue = 2\n", "coeff.value is not"),
+        (MINIMAL + "ratio = 7\n", "series.ratio is not"),
+        (MINIMAL + "tail_exponent = -3\n", "series.tail_exponent is not"),
+        ("[series]\nkind = harmonic\nvalues = 1, 2\n", "series.values is not"),
+        ("[series]\nkind = power-law\nexponent = 1\nratio = 2\n", "series.ratio is not"),
+        (MINIMAL + "\n[data]\nkind = constant\nwidth = 0.2\n", "data.width is not"),
+        (MINIMAL + "\n[data]\nkind = constant\npath = f.csv\n", "data.path is not"),
+        (MINIMAL + "\n[data]\nkind = bump\nvalue = 2\n", "data.value is not"),
+        (MINIMAL + "\n[domain]\ny0 = -1\n", "domain.y0 is not"),
+        (MINIMAL + "\n[domain]\ndim = 1\ny1 = 2\n", "domain.y1 is not"),
+        (MINIMAL + "\n[domain]\nn_cells_y = 8\n", "domain.n_cells_y is not"),
+        (MINIMAL + "\n[data]\nkind = bump\ncenter_y = 0.3\n", "data.center_y is not"),
+        (MINIMAL + "\n[coeff]\nkind = linear-ramp\nslope_y = 1\n", "coeff.slope_y is not"),
+        (
+            "[series]\nkind = custom\nvalues = 1, 0.5\ntail_exponent = -3\n",
+            "series.tail_exponent is not",
+        ),
+        (
+            "[series]\nkind = custom\nvalues = 1, 0.5\ntail = repeat-ratio\n"
+            "tail_exponent = -3\n",
+            "series.tail_exponent is not",
+        ),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, text, fragment):

@@ -79,6 +79,12 @@ def test_top_level_exports():
     assert porolab.__version__ == "0.1.0"
 
 
+def test_every_exported_name_resolves():
+    # a stale entry in __all__ would only break `from porolab import *`
+    assert [name for name in porolab.__all__ if not hasattr(porolab, name)] == []
+    assert len(set(porolab.__all__)) == len(porolab.__all__)
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer rebinds these names; a refactor that drops one
     # would leave its layer untimed

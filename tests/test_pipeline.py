@@ -1,4 +1,4 @@
-"""Constructive approximations, weak-form defects, flat zones, decay tables."""
+"""Constructive approximations, weak-form defects, flat zones, tail decay."""
 
 import math
 
@@ -15,7 +15,7 @@ from porolab.elliptic import (
     ramp_field,
     sup_norm,
 )
-from porolab.errors import BoundaryViolation, ConfigError, DomainError
+from porolab.errors import BoundaryViolation, ConfigError
 from porolab.params import Tolerances
 from porolab.pipeline import (
     ZONE_NOT_APPLICABLE,
@@ -24,9 +24,7 @@ from porolab.pipeline import (
     converge,
     default_test_set,
     flat_zone,
-    history_csv,
     solve_unit_load,
-    tail_decay_check,
     weak_residual,
 )
 from porolab.series import harmonic, log_kind, q_partial_inverse
@@ -69,10 +67,8 @@ def test_auxiliary_solution_applies_lambda():
 def test_converge_v_is_lambda_times_unit_load():
     p = _problem(f_value=32.0, lambda_scale=0.7)
     _, v1 = solve_unit_load(p)
-    for run in (
-        converge(log_kind(), p, [1, 2], stop_tol=1e-8),
-        converge(log_kind(), p, [1], stop_tol=1e-8, with_residuals=False),
-    ):
+    for schedule in ([1, 2], [1]):
+        run = converge(log_kind(), p, schedule, stop_tol=1e-8)
         np.testing.assert_array_equal(run.v.values, v1.scaled(0.7).values)
 
 
@@ -240,7 +236,7 @@ def test_converge_harmonic_limit_oracle():
     # Q(u) = -ln(1-u) equals v = x(1-x), so u = 1 - e^{-x(1-x)}
     p = _problem(f_value=2.0)
     run = converge(harmonic(), p, [1, 2, 4, 8, 16, 32, 64], stop_tol=1e-8)
-    assert run.converged and not run.schedule_exhausted
+    assert run.converged
     x = p.grid.xs
     exact = -np.expm1(-x * (1 - x))
     assert np.max(np.abs(run.converged_u.values - exact)) <= 1e-6
@@ -264,24 +260,17 @@ def test_converge_histories_align():
     p = _problem()
     run = converge(harmonic(), p, [1, 2, 4], stop_tol=1e-15)
     assert [n for n, _ in run.sup_history] == [1, 2, 4]
-    assert [n for n, _ in run.h1_history] == [1, 2, 4]
     assert [n for n, _ in run.residuals] == [1, 2, 4]
     assert all(r <= 1e-9 for _, r in run.residuals)
-
-
-def test_converge_without_residuals():
-    p = _problem()
-    run = converge(harmonic(), p, [1, 2], stop_tol=1e-15, with_residuals=False)
-    assert run.residuals == ()
-    assert len(run.sup_history) == 2
 
 
 def test_converge_flat_regime_exhausts_schedule():
     p = _problem(f_value=32.0)
     run = converge(log_kind(), p, [1, 2, 4, 8], stop_tol=1e-8)
-    assert run.schedule_exhausted and not run.converged
-    assert run.flat_zone.status == ZONE_OK
-    assert run.flat_zone.measure > 0.5
+    assert not run.converged and run.executed == (1, 2, 4, 8)
+    zone = flat_zone(log_kind(), p, run.executed[-1])
+    assert zone.status == ZONE_OK
+    assert zone.measure > 0.5
 
 
 def test_converge_rejects_bad_schedules():
@@ -340,53 +329,27 @@ def test_flat_zone_not_applicable_without_finite_k():
 # ---------------------------------------------------------------------------
 
 
+def _decay_table(run, M, sigma):
+    """Rows (n, measure{u_n >= M}) and the envelope C n (sigma/M)^n through row one."""
+    rows = [(n, measure_above(run.u_by_n[n], M)) for n in run.executed]
+    n1, m1 = rows[0]
+    ratio = sigma / M
+    scale = m1 / (n1 * ratio**n1)
+    return rows, [scale * n * ratio**n for n, _ in rows]
+
+
 def test_tail_decay_flat_regime_passes():
     p = _problem(f_value=32.0)
     run = converge(log_kind(), p, [1, 2, 4, 8, 16, 32, 64], stop_tol=1e-8)
-    tab = tail_decay_check(run, M=1.2, sigma=1.0)
-    assert tab.passed
-    meas = [m for _, m in tab.rows]
+    rows, envelope = _decay_table(run, M=1.2, sigma=1.0)
+    meas = [m for _, m in rows]
     assert meas[0] > 0.8 and meas[-1] == 0.0
-    assert all(m <= e for (_, m), (_, e) in zip(tab.rows[1:], tab.envelope[1:]))
+    assert all(m <= e for m, e in zip(meas[1:], envelope[1:]))
 
 
 def test_tail_decay_trivial_when_never_exceeded():
     p = _problem(f_value=2.0)
     run = converge(harmonic(), p, [1, 2, 4], stop_tol=1e-15)
-    tab = tail_decay_check(run, M=1.2, sigma=1.0)
-    assert tab.passed
-    assert all(m == 0.0 for _, m in tab.rows)
-
-
-def test_tail_decay_requires_m_above_sigma():
-    p = _problem()
-    run = converge(harmonic(), p, [1, 2], stop_tol=1e-15)
-    with pytest.raises(DomainError):
-        tail_decay_check(run, M=0.9, sigma=1.0)
-
-
-# ---------------------------------------------------------------------------
-# history CSV
-# ---------------------------------------------------------------------------
-
-
-def test_history_csv_full_columns():
-    p = _problem(f_value=32.0)
-    run = converge(log_kind(), p, [1, 2, 4], stop_tol=1e-12)
-    text = history_csv(run, M=1.2, comment="history")
-    lines = text.splitlines()
-    assert lines[0] == "# history"
-    assert lines[1] == "n,sup_u,h1_seminorm,residual,measure_above_M"
-    assert len(lines) == 2 + 3
-    first = lines[2].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == pytest.approx(sup_norm(run.u_by_n[1]))
-    assert float(first[4]) == pytest.approx(measure_above(run.u_by_n[1], 1.2))
-
-
-def test_history_csv_blank_optional_columns():
-    p = _problem()
-    run = converge(harmonic(), p, [1, 2], stop_tol=1e-15, with_residuals=False)
-    lines = history_csv(run).splitlines()
-    row = lines[1].split(",")
-    assert row[3] == "" and row[4] == ""
+    rows, envelope = _decay_table(run, M=1.2, sigma=1.0)
+    assert all(m == 0.0 for _, m in rows)
+    assert all(m <= e for (_, m), e in zip(rows[1:], envelope[1:]))
