@@ -91,8 +91,8 @@ def half_resolution(problem: EllipticProblem) -> EllipticProblem | None:
         grid=half,
         field=CoefficientField(
             grid=half,
-            a1=fld.a1[every_other],
-            a2=None if fld.a2 is None else fld.a2[every_other],
+            ax=fld.ax[::2],
+            ay=None if fld.ay is None else fld.ay[::2],
             alpha=fld.alpha,
             beta=fld.beta,
         ),

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import (
-    CoefficientField,
     EllipticProblem,
     GridFunction,
     build_grid,
-    constant_field,
     ramp_field,
     read_gridfunction_csv,
 )
@@ -213,20 +211,19 @@ def load_config(path: str) -> ExperimentConfig:
 
     coeff = _SectionReader(parser, "coeff", dim)
     if coeff.kind(default="constant") == "constant":
-        field = constant_field(grid, coeff.real("value", default=1.0, positive=True))
+        ramp = {"base": coeff.real("value", default=1.0, positive=True)}
     else:
-        field = ramp_field(
-            grid,
-            base=coeff.real("base", default=1.0),
-            slope_x=coeff.real("slope_x", default=0.0),
-            slope_y=coeff.real("slope_y", default=0.0),
-        )
-    alpha = coeff.real("alpha", positive=True)
-    beta = coeff.real("beta", positive=True)
-    if alpha is not None or beta is not None:
-        field = CoefficientField(
-            grid=grid, a1=field.a1, a2=field.a2, alpha=alpha or 0.0, beta=beta or 0.0
-        )
+        ramp = {
+            "base": coeff.real("base", default=1.0),
+            "slope_x": coeff.real("slope_x", default=0.0),
+            "slope_y": coeff.real("slope_y", default=0.0),
+        }
+    field = ramp_field(
+        grid,
+        **ramp,
+        alpha=coeff.real("alpha", positive=True) or 0.0,
+        beta=coeff.real("beta", positive=True) or 0.0,
+    )
 
     data = _SectionReader(parser, "data", dim)
     f_kind = data.kind(default="constant")

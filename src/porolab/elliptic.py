@@ -1,9 +1,13 @@
 """Uniform-grid discretization of -div(A(x) grad v) on an interval or rectangle.
 
-Homogeneous Dirichlet conditions, diagonal coefficient tensor, 3-point (1D) or
-5-point (2D) flux-form stencil with arithmetic-mean face coefficients.  The
-assembled matrix over interior nodes is a symmetric M-matrix, so the discrete
-maximum principle holds: nonnegative data give nonnegative solutions.
+Homogeneous Dirichlet conditions, diagonal coefficient tensor diag(a_x(x),
+a_y(y)) given as one nodal profile per axis, 3-point (1D) or 5-point (2D)
+flux-form stencil with arithmetic-mean face coefficients.  Both dimensions
+share one assembly path, so the 2D matrix is the Kronecker sum
+I (x) T_x + T_y (x) I of the two 1D matrices, up to the rounding of its
+diagonal sums.  The assembled matrix over interior nodes is a symmetric
+M-matrix, so the discrete maximum principle holds: nonnegative data give
+nonnegative solutions.
 """
 
 from __future__ import annotations
@@ -131,36 +135,38 @@ def build_grid(
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Diagonal coefficient tensor sampled at nodes.
+    """Diagonal coefficient tensor as one nodal profile per axis.
 
-    ``a1`` multiplies the x-derivative flux, ``a2`` (2D only) the y-derivative
-    flux.  [alpha, beta] is the declared ellipticity window; every nodal value
-    must lie inside it.
+    ``ax`` (nx+1 values) multiplies the x-derivative flux, ``ay`` (ny+1
+    values, 2D only) the y-derivative flux.  Both are stored read-only.
+    [alpha, beta] is the declared ellipticity window; every value must be
+    finite and lie inside it.
     """
 
     grid: Grid
-    a1: np.ndarray
-    a2: np.ndarray | None = None
+    ax: np.ndarray
+    ay: np.ndarray | None = None
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", np.asarray(self.a1, dtype=float))
-        if self.grid.dim == 2:
-            if self.a2 is None:
-                object.__setattr__(self, "a2", self.a1)
-            else:
-                object.__setattr__(self, "a2", np.asarray(self.a2, dtype=float))
-        if self.a1.shape != self.grid.node_shape:
-            raise EllipticityError("coefficient array shape does not match grid")
-        if self.grid.dim == 2 and self.a2.shape != self.grid.node_shape:
-            raise EllipticityError("coefficient array shape does not match grid")
-        lo = float(min(self.a1.min(), self.a2.min() if self.a2 is not None else np.inf))
-        hi = float(max(self.a1.max(), self.a2.max() if self.a2 is not None else -np.inf))
-        alpha = self.alpha if self.alpha > 0 else lo
-        beta = self.beta if self.beta > 0 else hi
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "beta", float(beta))
+        g = self.grid
+        if (self.ay is None) != (g.dim == 1):
+            raise EllipticityError("need one coefficient profile per axis")
+        profiles = []
+        for name, n in (("ax", g.nx), ("ay", g.ny))[: g.dim]:
+            a = np.array(getattr(self, name), dtype=float)
+            if a.shape != (n + 1,):
+                raise EllipticityError(f"coefficient profile {name} needs {n + 1} values")
+            if not np.all(np.isfinite(a)):
+                raise EllipticityError(f"coefficient profile {name} is not finite")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+            profiles.append(a)
+        lo = float(min(a.min() for a in profiles))
+        hi = float(max(a.max() for a in profiles))
+        object.__setattr__(self, "alpha", float(self.alpha if self.alpha > 0 else lo))
+        object.__setattr__(self, "beta", float(self.beta if self.beta > 0 else hi))
         if not (0 < self.alpha <= self.beta):
             raise EllipticityError(
                 f"ellipticity window [{self.alpha:g}, {self.beta:g}] is invalid"
@@ -172,19 +178,21 @@ class CoefficientField:
             )
 
 
-def constant_field(grid: Grid, value: float = 1.0) -> CoefficientField:
-    a = np.full(grid.node_shape, float(value))
-    return CoefficientField(grid=grid, a1=a, a2=a if grid.dim == 2 else None)
-
-
 def ramp_field(
-    grid: Grid, base: float = 1.0, slope_x: float = 0.0, slope_y: float = 0.0
+    grid: Grid,
+    base: float = 1.0,
+    slope_x: float = 0.0,
+    slope_y: float = 0.0,
+    alpha: float = 0.0,
+    beta: float = 0.0,
 ) -> CoefficientField:
-    """a1 = base + slope_x * x, a2 = base + slope_y * y."""
-    coords = grid.node_coordinates()
-    a1 = base + slope_x * coords[0]
-    a2 = base + slope_y * coords[1] if grid.dim == 2 else None
-    return CoefficientField(grid=grid, a1=a1, a2=a2)
+    """ax = base + slope_x * x, ay = base + slope_y * y."""
+    ay = base + slope_y * grid.ys if grid.dim == 2 else None
+    return CoefficientField(grid, base + slope_x * grid.xs, ay, alpha, beta)
+
+
+def constant_field(grid: Grid, value: float = 1.0) -> CoefficientField:
+    return ramp_field(grid, base=value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +244,8 @@ class EllipticProblem:
             raise ConfigError("coefficient field grid does not match problem grid")
         if self.f.grid is not self.grid and self.f.grid != self.grid:
             raise ConfigError("data grid does not match problem grid")
-        if np.any(self.f.values < 0):
-            raise InvalidWeight("data f must be nonnegative at every node")
+        if not np.all((self.f.values >= 0) & (self.f.values < np.inf)):  # NaN fails both
+            raise InvalidWeight("data f must be finite and nonnegative at every node")
         if not self.lambda_scale > 0:
             raise ConfigError("data.lambda_scale must be positive")
 
@@ -253,57 +261,37 @@ class SparseOperator:
     matrix: sp.csr_matrix
 
 
+def _couplings(a: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings of each interior node on one axis to its lower and upper
+    neighbour: arithmetic-mean face coefficients over h^2."""
+    face = 0.5 * (a[:-1] + a[1:])  # face j sits between nodes j, j+1
+    inv_h2 = 1.0 / h**2
+    return face[:-1] * inv_h2, face[1:] * inv_h2
+
+
 def assemble_operator(grid: Grid, field: CoefficientField) -> SparseOperator:
     """Flux-form stencil with arithmetic-mean face coefficients, Dirichlet rows
     eliminated.  Result is symmetric with M-matrix sign pattern."""
     if field.grid != grid:
         raise EllipticityError("coefficient field grid does not match")
-    # re-scan [alpha, beta] in case the field was built with stale bounds
-    lo = float(min(field.a1.min(), field.a2.min() if field.a2 is not None else np.inf))
-    hi = float(max(field.a1.max(), field.a2.max() if field.a2 is not None else -np.inf))
-    if lo < field.alpha or hi > field.beta:
-        raise EllipticityError(
-            f"nodal coefficient range [{lo:g}, {hi:g}] leaves "
-            f"[{field.alpha:g}, {field.beta:g}]"
-        )
-
-    if grid.dim == 1:
-        face = 0.5 * (field.a1[:-1] + field.a1[1:])  # face j sits between nodes j, j+1
-        inv_h2 = 1.0 / grid.hx**2
-        west = face[:-1] * inv_h2
-        east = face[1:] * inv_h2
-        diag = west + east
-        mat = sp.diags(
-            [-west[1:], diag, -east[:-1]], offsets=[-1, 0, 1], format="csr"
-        )
-        return SparseOperator(grid=grid, matrix=mat)
-
-    face_x = 0.5 * (field.a1[:, :-1] + field.a1[:, 1:])  # shape (ny+1, nx)
-    face_y = 0.5 * (field.a2[:-1, :] + field.a2[1:, :])  # shape (ny, nx+1)
-    inv_hx2 = 1.0 / grid.hx**2
-    inv_hy2 = 1.0 / grid.hy**2
-    # couplings of each interior node (rows y, columns x) to its four neighbours
-    west = face_x[1:-1, :-1] * inv_hx2
-    east = face_x[1:-1, 1:] * inv_hx2
-    south = face_y[:-1, 1:-1] * inv_hy2
-    north = face_y[1:, 1:-1] * inv_hy2
-    diag = west + east + south + north
+    # couplings of each interior node (rows y, columns x) to its neighbours
+    shape = grid.interior_shape
+    west, east = (np.broadcast_to(c, shape).copy() for c in _couplings(field.ax, grid.hx))
+    diag = west + east
+    if grid.dim == 2:
+        south, north = _couplings(field.ay, grid.hy)
+        diag = diag + south[:, None] + north[:, None]
     # a row's first west and last east neighbour sit on the rim, not in the
     # flat order; sp.diags drops these zeros
-    west[:, 0] = 0.0
-    east[:, -1] = 0.0
-    m = grid.nx - 1
-    mat = sp.diags(
-        [
-            -south.ravel()[m:],
-            -west.ravel()[1:],
-            diag.ravel(),
-            -east.ravel()[:-1],
-            -north.ravel()[:-m],
-        ],
-        offsets=[-m, -1, 0, 1, m],
-        format="csr",
-    )
+    west[..., 0] = 0.0
+    east[..., -1] = 0.0
+    bands = [-west.ravel()[1:], diag.ravel(), -east.ravel()[:-1]]
+    offsets = [-1, 0, 1]
+    if grid.dim == 2:
+        m = grid.nx - 1
+        bands = [-np.repeat(south, m)[m:], *bands, -np.repeat(north, m)[:-m]]
+        offsets = [-m, *offsets, m]
+    mat = sp.diags(bands, offsets=offsets, format="csr")
     return SparseOperator(grid=grid, matrix=mat)
 
 

@@ -6,7 +6,7 @@ class PorolabError(Exception):
 
 
 class InvalidSequence(PorolabError):
-    """Coefficient sequence violates its construction rules (a1 = 0, negative
+    """Coefficient sequence violates its construction rules (a_1 = 0, negative
     terms, or only finitely many nonzero terms)."""
 
 
@@ -29,10 +29,6 @@ class EllipticityError(PorolabError):
 
 class InvalidWeight(PorolabError):
     """Eigenvalue weight is negative somewhere or identically zero."""
-
-
-class DegenerateWeight(PorolabError):
-    """Rayleigh quotient denominator vanishes for the given function."""
 
 
 class BoundaryViolation(PorolabError):

@@ -86,9 +86,8 @@ def test_full_config_values(tmp_path):
     assert g.dim == 2
     assert (g.x0, g.x1, g.y0, g.y1) == (0.0, 2.0, -1.0, 1.0)
     assert (g.nx, g.ny) == (16, 12)
-    x, y = g.node_coordinates()
-    np.testing.assert_allclose(cfg.problem.field.a1, 1.5 + 0.25 * x, rtol=1e-15)
-    np.testing.assert_allclose(cfg.problem.field.a2, 1.5 + 0.5 * y, rtol=1e-15)
+    np.testing.assert_allclose(cfg.problem.field.ax, 1.5 + 0.25 * g.xs, rtol=1e-15)
+    np.testing.assert_allclose(cfg.problem.field.ay, 1.5 + 0.5 * g.ys, rtol=1e-15)
     assert cfg.problem.f.values.max() == pytest.approx(2.0, rel=1e-12)  # bump peak
     assert cfg.problem.lambda_scale == 4.0
     assert cfg.sequence.rate == 0.5
@@ -498,6 +497,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert entry(["analyze", "--config", slow]) == 2
     assert "error (solver)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coeff, datum",
+    [
+        ("kind = linear-ramp\nbase = 1\nslope_x = 1e308\n", 0.5),
+        ("value = 1\n", np.nan),
+        ("value = 1\n", np.inf),
+    ],
+)
+def test_cli_non_finite_inputs_are_config_errors(tmp_path, capsys, coeff, datum):
+    # an overflowing coefficient ramp or a non-finite datum is rejected at
+    # load, not reported later as a solver that failed to converge
+    values = np.full(5, 0.5)
+    values[2] = datum
+    write_gridfunction_csv(
+        GridFunction(grid=build_grid(1, (0.0, 2.0), 4), values=values), str(tmp_path / "f.csv")
+    )
+    cfgfile = _write(
+        tmp_path,
+        "[domain]\nx1 = 2\nn_cells = 4\n\n[coeff]\n" + coeff
+        + "\n[data]\nkind = file\npath = f.csv\n\n[series]\nkind = log\n",
+    )
+    if "1e308" in coeff:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert entry(["analyze", "--config", cfgfile]) == 1
+    else:
+        assert entry(["analyze", "--config", cfgfile]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

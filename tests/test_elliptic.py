@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porolab.elliptic import (
     CoefficientField,
@@ -85,9 +88,14 @@ def test_constant_field_window():
 def test_ramp_field_values():
     g = build_grid(1, n_cells=4)
     fld = ramp_field(g, base=1.0, slope_x=2.0)
-    np.testing.assert_allclose(fld.a1, 1.0 + 2.0 * g.xs)
+    np.testing.assert_allclose(fld.ax, 1.0 + 2.0 * g.xs)
+    assert fld.ay is None
     assert fld.alpha == pytest.approx(1.0)
     assert fld.beta == pytest.approx(3.0)
+    g2 = build_grid(2, n_cells=4, y_extent=(-1.0, 1.0), n_cells_y=6)
+    fld2 = ramp_field(g2, base=2.0, slope_x=0.5, slope_y=-0.25)
+    np.testing.assert_allclose(fld2.ax, 2.0 + 0.5 * g2.xs)
+    np.testing.assert_allclose(fld2.ay, 2.0 - 0.25 * g2.ys)
 
 
 def test_field_rejects_nonpositive_coefficient():
@@ -100,23 +108,44 @@ def test_field_rejects_nonpositive_coefficient():
 
 def test_field_rejects_values_outside_declared_window():
     g = build_grid(1, n_cells=8)
-    a = np.full(g.node_shape, 5.0)
+    a = np.full(g.nx + 1, 5.0)
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g, a1=a, alpha=1.0, beta=2.0)
+        CoefficientField(grid=g, ax=a, alpha=1.0, beta=2.0)
+    # NaN compares false against both window ends
+    a = np.full(g.nx + 1, 1.5)
+    a[3] = np.nan
+    with pytest.raises(EllipticityError, match="not finite"):
+        CoefficientField(grid=g, ax=a, alpha=1.0, beta=2.0)
+    with pytest.raises(EllipticityError, match="not finite"):
+        CoefficientField(grid=g, ax=np.full(g.nx + 1, np.inf))
 
 
 def test_field_rejects_shape_mismatch():
     g = build_grid(1, n_cells=8)
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g, a1=np.ones(4))
+        CoefficientField(grid=g, ax=np.ones(4))
+    with pytest.raises(EllipticityError):
+        CoefficientField(grid=g, ax=np.ones(g.node_shape), ay=np.ones(g.node_shape))
+    g2 = build_grid(2, n_cells=8, n_cells_y=6)
+    with pytest.raises(EllipticityError):
+        CoefficientField(grid=g2, ax=np.ones(9))
+    with pytest.raises(EllipticityError):
+        CoefficientField(grid=g2, ax=np.ones(9), ay=np.ones(9))
+    with pytest.raises(EllipticityError):
+        CoefficientField(grid=g2, ax=np.ones(g2.node_shape), ay=np.ones(7))
 
 
-def test_assemble_rescans_mutated_field():
+def test_field_profiles_are_private_and_read_only():
+    # a field cannot go stale: writes to its profiles fail, and the caller's
+    # array is copied, so later writes to it do not reach the field
     g = build_grid(1, n_cells=8)
     fld = constant_field(g, 1.0)
-    fld.a1[3] = 50.0  # stale window [1, 1]
-    with pytest.raises(EllipticityError):
-        assemble_operator(g, fld)
+    with pytest.raises(ValueError):
+        fld.ax[3] = 50.0
+    a = np.ones(g.nx + 1)
+    fld = CoefficientField(grid=g, ax=a)
+    a[3] = 50.0
+    assert fld.ax[3] == 1.0 and fld.beta == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +188,49 @@ def test_assembly_symmetric_and_m_matrix():
     assert sums.max() > 0
 
 
+@st.composite
+def _axis_profiles(draw):
+    nx, ny = draw(st.lists(st.integers(4, 12), min_size=2, max_size=2, unique=True))
+    coeff = st.floats(0.1, 10.0)
+    ax = draw(st.lists(coeff, min_size=nx + 1, max_size=nx + 1))
+    ay = draw(st.lists(coeff, min_size=ny + 1, max_size=ny + 1))
+    return nx, ny, np.array(ax), np.array(ay)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_axis_profiles())
+def test_assembly_2d_is_kronecker_sum_of_1d(profiles):
+    # A_h = I (x) T_x + T_y (x) I with T_x, T_y the 1D operators of the axis
+    # profiles: the structure a fast-diagonalization solve relies on
+    nx, ny, ax, ay = profiles
+    g = build_grid(2, (0.0, 2.0), nx, y_extent=(-1.0, 0.5), n_cells_y=ny)
+    A = assemble_operator(g, CoefficientField(grid=g, ax=ax, ay=ay)).matrix
+    gx, gy = build_grid(1, (0.0, 2.0), nx), build_grid(1, (-1.0, 0.5), ny)
+    T_x = assemble_operator(gx, CoefficientField(grid=gx, ax=ax)).matrix
+    T_y = assemble_operator(gy, CoefficientField(grid=gy, ax=ay)).matrix
+    K = sp.kron(sp.identity(ny - 1), T_x) + sp.kron(T_y, sp.identity(nx - 1))
+    dense = A.toarray()
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(dense - K.toarray())) <= 4 * np.finfo(float).eps * scale
+
+
 def test_operator_energy_two_routes_agree():
     # u . A_h u . cellvol equals the sum over faces of a_face (difference
-    # quotient)^2 cellvol; random non-separable coefficients on an nx != ny
-    # grid give every stencil coupling its own value
+    # quotient)^2 cellvol; random per-axis profiles on an nx != ny grid give
+    # every x face column and every y face row its own value
     rng = np.random.default_rng(42)
     for dim in (1, 2):
         g = build_grid(dim, n_cells=16, n_cells_y=11 if dim == 2 else None)
-        a1 = rng.uniform(0.5, 2.0, g.node_shape)
-        a2 = rng.uniform(0.5, 2.0, g.node_shape) if dim == 2 else None
-        op = assemble_operator(g, CoefficientField(grid=g, a1=a1, a2=a2))
+        ax = rng.uniform(0.5, 2.0, g.nx + 1)
+        ay = rng.uniform(0.5, 2.0, g.ny + 1) if dim == 2 else None
+        op = assemble_operator(g, CoefficientField(grid=g, ax=ax, ay=ay))
         u = GridFunction.from_interior(g, rng.uniform(-1, 1, g.n_interior))
         quad = float(u.interior() @ (op.matrix @ u.interior())) * g.cell_volume
         dx = np.diff(u.values, axis=-1) / g.hx
-        face = np.sum(0.5 * (a1[..., :-1] + a1[..., 1:]) * dx * dx)
+        face = np.sum(0.5 * (ax[:-1] + ax[1:]) * dx * dx)
         if dim == 2:
             dy = np.diff(u.values, axis=0) / g.hy
-            face += np.sum(0.5 * (a2[:-1] + a2[1:]) * dy * dy)
+            face += np.sum(0.5 * (ay[:-1] + ay[1:])[:, None] * dy * dy)
         assert quad == pytest.approx(face * g.cell_volume, rel=1e-12)
 
 

@@ -52,7 +52,6 @@ def test_errors_share_a_base():
         "ConfigError",
         "EllipticityError",
         "InvalidWeight",
-        "DegenerateWeight",
         "BoundaryViolation",
     ):
         cls = getattr(porolab, name)
