@@ -394,19 +394,19 @@ def write_gridfunction_csv(u: GridFunction, path: str, comment: str | None = Non
 def read_gridfunction_csv(path: str, grid: Grid) -> GridFunction:
     """Load nodal values written by gridfunction_to_csv onto ``grid``.
 
-    Row count and column count must match; coordinates are checked loosely
-    (within half a cell) to catch files from a different grid.
+    Row count and column count must match; coordinates must be finite and
+    are checked loosely (within half a cell) to catch files from a different
+    grid.  Only the first line that is not a comment may be a header.
     """
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line[0].isalpha():  # header
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    data = np.asarray(rows, dtype=float)
+        lines = [line.strip() for line in fh]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if lines and lines[0][0].isalpha():  # header
+        del lines[0]
+    try:
+        data = np.asarray([[float(tok) for tok in line.split(",")] for line in lines])
+    except ValueError as exc:  # a token that is no number, or ragged rows
+        raise ConfigError(f"data.file: {path}: {exc}") from None
     want_cols = 2 if grid.dim == 1 else 3
     if data.ndim != 2 or data.shape[1] != want_cols:
         raise ConfigError(f"data.file: expected {want_cols} columns in {path}")
@@ -414,6 +414,8 @@ def read_gridfunction_csv(path: str, grid: Grid) -> GridFunction:
         raise ConfigError(
             f"data.file: {path} has {data.shape[0]} rows, grid needs {grid.n_nodes}"
         )
+    if not np.all(np.isfinite(data[:, :-1])):
+        raise ConfigError(f"data.file: node coordinates in {path} must be finite")
     coords = grid.node_coordinates()
     tol = 0.5 * grid.h_max
     if grid.dim == 1:

@@ -28,7 +28,7 @@ from .elliptic import (
 )
 from .errors import ConfigError
 from .params import Tolerances
-from .series import CoefficientSequence, q_partial_inverse
+from .series import CoefficientSequence, q_partial, q_partial_inverse
 
 ZONE_OK = "OK"
 ZONE_NOT_APPLICABLE = "NotApplicable"
@@ -163,7 +163,6 @@ def weak_residual(
     vol = problem.grid.cell_volume
     u_int = u.interior()
     rhs = problem.rhs().interior()
-    coeffs = seq.coefficients(M_terms)
 
     pairings = []
     loads = []
@@ -178,8 +177,8 @@ def weak_residual(
         norms.append(1.0 + h1_norm(phi))
 
     G = np.vstack(pairings)  # row k: A_h phi_k . cellvol
-    # sum_m a_m G u^m = G Q_M(u), so one Horner pass replaces M matvecs
-    acc = G @ series_mod._horner(coeffs, u_int)
+    # sum_m a_m G u^m = G Q_M(u), so one evaluation of Q_M replaces M matvecs
+    acc = G @ q_partial(seq, M_terms, u_int)
     defects = np.abs(acc - np.asarray(loads)) / np.asarray(norms)
     return float(np.max(defects))
 

@@ -6,8 +6,9 @@ head values followed by one tail rule, and carries its exact radius of
 convergence sigma, fixed by that rule: 1 for a power or log tail, 1/rate for
 a ratio tail.  From the shape of the tail this module decides whether the
 boundary sum sum a_m sigma^m converges (with a certificate, never a guess),
-and it evaluates / inverts the partial sums Q_n.  All operations are pure;
-sequences are immutable and safe to share.
+and it evaluates Q, its partial sums Q_n and their inverses on the boundary
+terms a_m sigma^m in t = s/sigma.  All operations are pure; sequences are
+immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -68,6 +69,24 @@ class CoefficientSequence:
             else:
                 out[k:] = 1.0 / (m * (m - 1.0))
         return out
+
+    def boundary_terms(self, n: int) -> np.ndarray:
+        """Vector (b_1, ..., b_n), b_m = a_m sigma^m: Q(s) = sum b_m t^m in
+        t = s/sigma.  Overflowing entries become +inf.
+
+        With sigma = 1 these are the coefficients.  Otherwise the tail is a
+        ratio tail: its head is formed in logs, so that neither a_m nor
+        sigma^m overflows on its own, and beyond it every term is a_L sigma^L.
+        """
+        if self.sigma == 1.0:
+            return self.coefficients(n)
+        L, a_L = self.anchor
+        k = min(n, len(self.head))
+        a = np.array(self.head[:k] + (a_L,))
+        m = np.append(np.arange(1.0, k + 1.0), L)
+        with np.errstate(divide="ignore", over="ignore"):
+            terms = np.exp(np.log(a) + m * math.log(self.sigma))
+        return terms[np.minimum(np.arange(n), k)]
 
 
 def harmonic() -> CoefficientSequence:
@@ -207,20 +226,6 @@ class KStatus:
         return self.status == STATUS_DIVERGENT
 
 
-def _geometric_partial_sum(seq: CoefficientSequence, m_max: int) -> float:
-    """sum_{m <= m_max} a_m sigma^m for a ratio tail: beyond the head every
-    term equals a_L sigma^L."""
-    head = seq.head[:m_max]
-    rest = m_max - len(head)
-    L, a_L = seq.anchor
-    a = np.array(head + (a_L,) * rest)
-    m = np.concatenate([np.arange(1.0, len(head) + 1.0), np.full(rest, float(L))])
-    # in logs, so that neither a_m nor sigma^m overflows on its own
-    with np.errstate(divide="ignore", over="ignore"):
-        terms = np.exp(np.log(a) + m * math.log(seq.sigma))
-    return float(np.sum(terms))
-
-
 def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KStatus:
     """Decide convergence of K = sum a_m sigma^m from the shape of the tail.
 
@@ -240,7 +245,7 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
     if seq.rule == RULE_LOG:
         # telescoping: the tail beyond M is exactly 1/M
         M = min(m_max, 4096)
-        partial = float(np.sum(seq.coefficients(M)))
+        partial = float(np.sum(seq.boundary_terms(M)))
         value = partial + 1.0 / M
         return KStatus(
             status=STATUS_FINITE,
@@ -253,7 +258,7 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
     if seq.rule == RULE_RATIO:
         return KStatus(
             status=STATUS_DIVERGENT,
-            partial_sum=_geometric_partial_sum(seq, m_max),
+            partial_sum=float(np.sum(seq.boundary_terms(m_max))),
             cutoff=m_max,
             detail="geometric tail: a_m sigma^m is constant",
         )
@@ -261,12 +266,11 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
     if p >= -1.0:
         return KStatus(
             status=STATUS_DIVERGENT,
-            partial_sum=float(np.sum(seq.coefficients(m_max))),
+            partial_sum=float(np.sum(seq.boundary_terms(m_max))),
             cutoff=m_max,
             detail="integral comparison: sum of m^p diverges for p >= -1",
         )
 
-    # sigma = 1, so the terms are the coefficients themselves
     cuts = [M for M in (64 << k for k in range(m_max.bit_length())) if M < m_max]
     for M in [*cuts, m_max]:
         if M < L:
@@ -277,7 +281,7 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
         d3 = d1 * (p - 1.0) / M * (p - 2.0) / M  # g'''(M)
         upper = integral - g / 2.0 - d1 / 12.0
         lower = upper + d3 / 720.0
-        partial = float(np.sum(seq.coefficients(M)))
+        partial = float(np.sum(seq.boundary_terms(M)))
         value = partial + (upper + lower) / 2.0
         # rounding: any order of summing M terms each good to (|p|/2 + 2) ulps,
         # and a few ulps in each Euler-Maclaurin term
@@ -296,7 +300,7 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
             )
     return KStatus(
         status=STATUS_INCONCLUSIVE,
-        partial_sum=float(np.sum(seq.coefficients(m_max))),
+        partial_sum=float(np.sum(seq.boundary_terms(m_max))),
         cutoff=m_max,
         detail=f"no convergence certificate within m_max={m_max}",
     )
@@ -334,17 +338,31 @@ def _horner_with_derivative(coeffs: np.ndarray, s):
     return q, dq
 
 
+def _finite_terms(seq: CoefficientSequence, n: int) -> np.ndarray:
+    """boundary_terms(n); DomainError if one overflows float64, since Q_n is
+    then +inf at every s > 0."""
+    terms = seq.boundary_terms(n)
+    overflowed = np.flatnonzero(~np.isfinite(terms))
+    if overflowed.size:
+        m = int(overflowed[0]) + 1
+        raise DomainError(
+            f"boundary term a_{m} sigma^{m} of {seq.label} overflows float64"
+        )
+    return terms
+
+
 def q_partial(seq: CoefficientSequence, n: int, s):
     """Partial sum Q_n(s) = sum_{m<=n} a_m s^m; strictly increasing for s > 0.
 
-    ``s`` may be a scalar or an array (evaluated elementwise).
+    Evaluated as sum b_m t^m on the boundary terms in t = s/sigma.  ``s``
+    may be a scalar or an array (evaluated elementwise).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0):
         raise ValueError("s must be nonnegative")
-    out = _horner(seq.coefficients(n), arr)
+    out = _horner(seq.boundary_terms(n), arr / seq.sigma)
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -357,19 +375,21 @@ def q_partial_inverse(
 ):
     """Solve Q_n(s) = y for s >= 0 (elementwise for arrays).
 
-    Monotone Newton iteration.  Q_n has nonnegative coefficients, so it is
-    increasing and convex on s >= 0, and Newton started above the root
-    decreases monotonically onto it (Kelley, *Solving Nonlinear Equations
-    with Newton's Method*, SIAM 2003).  The start is the power cap
-    min_m (y/a_m)^(1/m) over m = 1, the powers of two and n: every positive
-    coefficient gives Q_n(s) >= a_m s^m, hence an upper bound on the root.
-    Where Q_n or Q_n' overflows, s is halved instead; from below the root a
-    Newton step lands above it again.  Only nodes that have not converged
-    are re-evaluated.  A node stops when |Q_n(s) - y| <= tol * max(1, y),
-    when a step moves s by at most 4 ulps, or when its residual above the
-    root stops falling: there float64 cannot place the root any better.  A
-    coefficient that overflows float64 raises DomainError: Q_n is then +inf
-    at every s > 0 and has no usable root.
+    The root is found in t = s/sigma, where Q_n = sum b_m t^m on the
+    boundary terms b_m = a_m sigma^m, and returned as sigma * t; a ratio
+    tail under- or overflows a_m and s^m, never b_m.  Monotone Newton
+    iteration: the terms are nonnegative, so Q_n is increasing and convex
+    in t >= 0, and Newton started above the root decreases monotonically
+    onto it (Kelley, *Solving Nonlinear Equations with Newton's Method*,
+    SIAM 2003).  The start is the cap min_m (y/b_m)^(1/m) over m = 1, the
+    powers of two and n: each positive term gives Q_n >= b_m t^m.  Only
+    nodes that have not stopped are re-evaluated.  The one stop rule is
+    that Q_n is finite and |Q_n - y| <= max(tol * max(1, y), n eps Q_n).
+    Its second term bounds the rounding of Horner's rule over n nonnegative
+    terms (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1),
+    below which float64 cannot place the root.  An iterate whose Q_n
+    overflows never stops and ends in NoConvergence.  DomainError is raised
+    when a boundary term overflows or the start cap in t is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -378,81 +398,71 @@ def q_partial_inverse(
     y_arr = np.asarray(y, dtype=float).ravel()
     if np.any(y_arr < 0):
         raise ValueError("y must be nonnegative")
-    coeffs = seq.coefficients(n)
-    overflowed = np.flatnonzero(~np.isfinite(coeffs))
-    if overflowed.size:
-        m = int(overflowed[0]) + 1
-        raise DomainError(
-            f"coefficient a_{m} of {seq.label} overflows float64; "
-            f"Q_{n} cannot be inverted"
-        )
-    eps = np.finfo(float).eps
+    terms = _finite_terms(seq, n)
 
-    # in logs, so that y/a_m cannot overflow when a_m is tiny; a_1 > 0
-    with np.errstate(divide="ignore"):
+    # in logs, so that y/b_m cannot overflow before its m-th root is taken
+    t = np.full_like(y_arr, np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
         log_y = np.log(y_arr)
-    s = np.full_like(y_arr, np.inf)
-    for m in {1 << k for k in range(n.bit_length())} | {n}:
-        if coeffs[m - 1] > 0.0:
-            np.minimum(s, np.exp((log_y - math.log(coeffs[m - 1])) / m), out=s)
-    target = tol * np.maximum(1.0, y_arr)
+        for m in {1 << k for k in range(n.bit_length())} | {n}:
+            if terms[m - 1] > 0.0:
+                np.minimum(t, np.exp((log_y - math.log(terms[m - 1])) / m), out=t)
     active = np.flatnonzero(y_arr > 0.0)
-    # Above the root, exact Newton lowers the residual at every step.  A
-    # residual that fails to drop below the least one seen above the root is
-    # rounding noise of the Horner evaluation: the float64 floor for the node.
-    least = np.full(active.size, np.inf)
+    if not np.all(np.isfinite(t[active])):
+        raise DomainError(
+            f"a root of Q_{n} for {seq.label} lies beyond float64 in t = s/sigma"
+        )
+    target = tol * np.maximum(1.0, y_arr)
+    rounding = n * np.finfo(float).eps
 
     for _ in range(max_iter):
         if not active.size:
             break
-        x = s[active]
+        x = t[active]
         with np.errstate(over="ignore", invalid="ignore"):
-            q, dq = _horner_with_derivative(coeffs, x)
+            q, dq = _horner_with_derivative(terms, x)
             f = q - y_arr[active]
-            finite = np.isfinite(q) & np.isfinite(dq)
-            step = np.where(finite, f / dq, 0.5 * x)
-        hit = np.abs(f) <= target[active]
-        floor = finite & (f >= least)
-        # a node that meets the residual still takes the Newton step already
-        # computed, which squares its error at no extra cost
-        s[active] = np.where(floor | (hit & ~finite), x, x - step)
-        keep = ~(hit | floor | (np.abs(step) <= 4.0 * eps * x))
-        active = active[keep]
-        least = np.where(finite & (f > 0.0), np.minimum(least, f), least)[keep]
+            # a node that stops still takes the Newton step already
+            # computed, which squares its error at no extra cost
+            t[active] = x - f / dq
+            stop = np.isfinite(q) & (
+                np.abs(f) <= np.maximum(target[active], rounding * q)
+            )
+        active = active[~stop]
     if active.size:
         raise NoConvergence(
             f"partial-sum inversion did not reach tol={tol} in {max_iter} iterations"
         )
-    return float(s[0]) if np.ndim(y) == 0 else s.reshape(np.shape(y))
+    t *= seq.sigma
+    return float(t[0]) if np.ndim(y) == 0 else t.reshape(np.shape(y))
+
+
+def _full_series(seq: CoefficientSequence, s: float, tol: float, k: int) -> float:
+    """sum_m m^k b_m t^(m-k) / sigma^k in t = s/sigma: Q(s) for k = 0, Q'(s)
+    for k = 1.  Summed in blocks of 256 terms until the geometric envelope
+    of the tail beyond the last term M, that term times
+    t/(1 - t) + k t/(M (1 - t)^2), drops below ``tol``.  Requires s < sigma.
+    """
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    t = s / seq.sigma
+    if t >= 1.0:
+        raise DomainError(f"s={s} is outside [0, sigma={seq.sigma})")
+    total = 0.0
+    for stop in range(256, _Q_FULL_TERM_CAP + 256, 256):
+        m = np.arange(stop - 255.0, stop + 1.0)
+        b = _finite_terms(seq, stop)[stop - 256 :]
+        terms = m**k * b * t ** (m - k) / seq.sigma**k
+        total += float(np.sum(terms))
+        if terms[-1] * (t / (1.0 - t) + k * t / (stop * (1.0 - t) ** 2)) < tol:
+            return total
+    raise NoConvergence("series truncation cap reached; s may be too close to sigma")
 
 
 def q_full(seq: CoefficientSequence, s: float, tol: float = 1e-10) -> float:
-    """Full series Q(s), adaptively truncated.
-
-    Terms are summed until the geometric tail majorant
-    a_m s^m / (1 - s/sigma) drops below ``tol``.  Requires s < sigma.
-    """
-    sigma = seq.sigma
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s >= sigma:
-        raise DomainError(f"s={s} is outside [0, sigma={sigma})")
-    if s == 0.0:
-        return 0.0
-    shrink = 1.0 - s / sigma
-    total = 0.0
-    block = 256
-    start = 1
-    while start <= _Q_FULL_TERM_CAP:
-        stop = start + block - 1
-        coeffs = seq.coefficients(stop)[start - 1 :]
-        powers = s ** np.arange(start, stop + 1, dtype=float)
-        t = coeffs * powers
-        total += float(np.sum(t))
-        if t[-1] / shrink < tol:
-            return total
-        start = stop + 1
-    raise NoConvergence("q_full truncation cap reached; s may be too close to sigma")
+    """Full series Q(s) = sum b_m t^m in t = s/sigma, adaptively truncated
+    (see _full_series).  Requires s < sigma."""
+    return _full_series(seq, s, tol, 0)
 
 
 def q_derivative(
@@ -461,45 +471,22 @@ def q_derivative(
     tol: float = 1e-10,
     n: int | None = None,
 ) -> float:
-    """Q'(s) = sum m a_m s^(m-1).
+    """Q'(s) = sum m a_m s^(m-1) = sum m b_m t^(m-1) / sigma, t = s/sigma.
 
-    With ``n`` given, the exact derivative of the partial sum Q_n (any
-    s >= 0); otherwise the full series with the same adaptive truncation as
-    q_full (requires s < sigma).
+    With ``n`` given, the exact derivative of the partial sum Q_n at any
+    s >= 0, elementwise for an array ``s``; otherwise the full series with
+    the same adaptive truncation as q_full (requires s < sigma).
     """
-    if s < 0:
+    if n is None:
+        return _full_series(seq, s, tol, 1)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    arr = np.asarray(s, dtype=float)
+    if np.any(arr < 0):
         raise ValueError("s must be nonnegative")
-    if n is not None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        _, dq = _horner_with_derivative(seq.coefficients(n), np.asarray(s, float))
-        return float(dq)
-    sigma = seq.sigma
-    if s >= sigma:
-        raise DomainError(f"s={s} is outside [0, sigma={sigma})")
-    if s == 0.0:
-        return float(seq.coefficients(1)[0])
-    r = s / sigma
-    total = 0.0
-    block = 256
-    start = 1
-    while start <= _Q_FULL_TERM_CAP:
-        stop = start + block - 1
-        m = np.arange(start, stop + 1, dtype=float)
-        coeffs = seq.coefficients(stop)[start - 1 :]
-        t = m * coeffs * s ** (m - 1.0)
-        total += float(np.sum(t))
-        # tail of sum m a_m s^(m-1) against the geometric envelope at stop
-        if r < 1.0:
-            majorant = t[-1] * (r / (1.0 - r) + r / (stop * (1.0 - r) ** 2))
-        else:
-            majorant = math.inf
-        if majorant < tol:
-            return total
-        start = stop + 1
-    raise NoConvergence(
-        "q_derivative truncation cap reached; s may be too close to sigma"
-    )
+    _, dq = _horner_with_derivative(seq.boundary_terms(n), arr / seq.sigma)
+    out = dq / seq.sigma
+    return float(out) if np.ndim(s) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,19 @@ def test_cli_solve_writes_solution(tmp_path, capsys):
     assert np.max(np.abs(data[:, 1] - exact)) <= 1e-6
 
 
+def test_cli_solve_decaying_ratio_tail(tmp_path, capsys):
+    # a_m = 0.1^(m-1) underflows from m = 325 on; the inversion works on
+    # a_m sigma^m = 10 instead and finds the root of Q_512 at the peak
+    cfgfile = _write(
+        tmp_path,
+        "[domain]\nn_cells = 32\n\n[data]\nlambda_scale = 8000\n\n"
+        "[series]\nkind = custom\nvalues = 1, 0.1\n",
+    )
+    out = tmp_path / "u.csv"
+    assert entry(["solve", "--config", cfgfile, "--n", "512", "--out", str(out)]) == 0
+    assert "sup u = 9.90161064951 at n=512" in capsys.readouterr().out
+
+
 def test_cli_sweep_csv(tmp_path, capsys):
     cfgfile = _write(tmp_path, ANALYZE_INI)
     out = tmp_path / "s.csv"
@@ -526,6 +539,34 @@ def test_cli_non_finite_inputs_are_config_errors(tmp_path, capsys, coeff, datum)
     else:
         assert entry(["analyze", "--config", cfgfile]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first_row, message",
+    [
+        ("-nan,0.5", "must be finite"),
+        ("nan,0.5", "must be finite"),
+        ("0.0,abc", "could not convert"),
+        ("0.0,0.5,0.5", "inhomogeneous"),
+    ],
+)
+def test_cli_malformed_data_rows_are_config_errors(tmp_path, capsys, first_row, message):
+    # a NaN coordinate passes a comparison with the grid, and a data row
+    # that starts with a letter is not a header unless it comes first
+    path = tmp_path / "f.csv"
+    write_gridfunction_csv(
+        GridFunction(grid=build_grid(1, (0.0, 1.0), 4), values=np.full(5, 0.5)), str(path)
+    )
+    lines = path.read_text().splitlines()
+    lines[1] = first_row
+    path.write_text("\n".join(lines) + "\n")
+    cfgfile = _write(
+        tmp_path, "[domain]\nn_cells = 4\n\n[data]\nkind = file\npath = f.csv\n\n"
+        "[series]\nkind = log\n",
+    )
+    assert entry(["analyze", "--config", cfgfile]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and message in err
 
 
 @pytest.mark.parametrize(

@@ -100,3 +100,30 @@ def test_traced_names_resolve():
     names += [(module, "cg") for module, _ in tables["CG_TARGETS"]]
     for module, attr in names:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_private_series_names_stay_in_series():
+    # other modules evaluate Q through the public API, never through a
+    # helper such as _horner
+    src = Path(porolab.__file__).parent
+    private = set()
+    for node in ast.parse((src / "series.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            private.add(node.name)
+        elif isinstance(node, ast.Assign):
+            private.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    private = {name for name in private if name.startswith("_")}
+    assert {"_horner", "_horner_with_derivative"} <= private
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("series"):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            reads += [(path.name, name) for name in names if name in private]
+    assert reads == []

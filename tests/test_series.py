@@ -347,17 +347,56 @@ def test_q_partial_inverse_monotone_in_y():
 
 
 def test_q_partial_inverse_rejects_overflowing_coefficients():
-    # a_m = 1e10^m is +inf from m = 31 on, so Q_32 is +inf at every s > 0
+    # a_m = 1e10^m is +inf from m = 31 on, but every boundary term
+    # a_m sigma^m is 1: in t = 1e10 s the root of t/(1 - t) = 1/8 is 1/9
     seq = geometric(1e10)
-    assert q_partial_inverse(seq, 16, 0.125) == pytest.approx(1e-10 / 9, rel=1e-9)
-    for n, y in ((32, 0.125), (64, 1.0)):
-        with pytest.raises(DomainError, match="a_31 "):
-            q_partial_inverse(seq, n, y)
+    for n in (16, 32, 64):
+        assert q_partial_inverse(seq, n, 0.125) == pytest.approx(1e-10 / 9, rel=1e-9)
+    # a power tail has sigma = 1, and its term m^400 overflows from m = 6 on
+    with pytest.raises(DomainError, match="a_6 "):
+        q_partial_inverse(power_law(400), 8, 1.0)
+    # the root in t = s/sigma overflows although sigma * t would not
+    with pytest.raises(DomainError, match="beyond float64"):
+        q_partial_inverse(custom([0.001, 0.001, 547]), 1, 3.29e299)
+
+
+def _mp_root(values, n, y, start):
+    """Root of Q_n(s) = y for custom(values) with its exact repeat-ratio
+    tail, polished by Newton in 40 digits from ``start``."""
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(v) for v in values]
+        rate = a[-1] / a[-2]
+        a += [a[-1] * rate**k for k in range(1, n - len(a) + 1)]
+        coeffs = [*reversed(a[:n]), 0]  # highest degree first, no constant
+        s = mpmath.mpf(start)
+        for _ in range(20):
+            q, dq = mpmath.polyval(coeffs, s, derivative=True)
+            step = (q - y) / dq
+            s -= step
+            if abs(step) <= mpmath.mpf(10) ** -30 * s:
+                return float(s)
+    raise AssertionError("mpmath Newton did not settle")
+
+
+@pytest.mark.parametrize(
+    "values, n, y, root",
+    [
+        ([1.0, 2.0], 1024, 1e100, 0.6255168896053649),
+        ([1.0, 2.0], 1024, 1e200, 0.7836921989723407),
+        ([762.0, 0.0, 0.0, 774.0, 31.25], 657, 3e11, 24.799861234447686),
+        ([1.0, 0.1], 512, 1000.0, 9.901610649506463),
+    ],
+)
+def test_q_partial_inverse_matches_mpmath_root(values, n, y, root):
+    # raw a_m over- or underflow on these ratio tails; a_m sigma^m do not
+    exact = _mp_root(values, n, y, start=root)
+    s = q_partial_inverse(custom(values), n, y)
+    assert abs(s - exact) <= 4 * np.spacing(exact)
 
 
 def _inversion_slack(seq, n, y, s, tol):
     """Distance to the exact root allowed by |Q_n(s) - y| <= tol * max(1, y)."""
-    dq = np.array([q_derivative(seq, float(x), n=n) for x in s])
+    dq = q_derivative(seq, s, n=n)
     return tol * np.maximum(1.0, y) / dq + 4 * np.finfo(float).eps * s
 
 
@@ -369,22 +408,28 @@ def _inversion_slack(seq, n, y, s, tol):
     last=st.lists(_POSITIVE, min_size=2, max_size=2),
     tail=st.sampled_from(["repeat-ratio", "power-law"]),
     n=st.integers(1, 1023),
-    ys=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+    ys=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8),
 )
 def test_q_partial_inverse_properties(head, middle, last, tail, n, ys):
     tol = 1e-12
     seq = custom([head, *middle, *last], tail=tail)
     ys = np.sort(np.asarray(ys))
-    coeffs = seq.coefficients(n + 1)
-    if not np.all(np.isfinite(coeffs[:n])):
+    terms = seq.boundary_terms(n + 1)
+    if not np.all(np.isfinite(terms[:n])):
         with pytest.raises(DomainError):
             q_partial_inverse(seq, n, ys, tol=tol)
         return
-    s = q_partial_inverse(seq, n, ys, tol=tol)
+    try:
+        s = q_partial_inverse(seq, n, ys, tol=tol)
+    except DomainError:
+        # only a root beyond float64 in t = s/sigma
+        with np.errstate(over="ignore"):
+            assert np.any(np.isinf(ys / terms[0]))
+        return
     assert np.all(np.abs(q_partial(seq, n, s) - ys) <= tol * np.maximum(1.0, ys))
     slack = _inversion_slack(seq, n, ys, s, tol)
     assert np.all(np.diff(s) >= -(slack[1:] + slack[:-1]))
-    if np.isfinite(coeffs[n]):
+    if np.isfinite(terms[n]):
         s_next = q_partial_inverse(seq, n + 1, ys, tol=tol)
         assert np.all(
             s_next <= s + slack + _inversion_slack(seq, n + 1, ys, s_next, tol)
@@ -421,6 +466,7 @@ def test_q_derivative_partial_matches_difference_quotient():
     d = q_derivative(seq, s, n=9)
     fd = (q_partial(seq, 9, s + h) - q_partial(seq, 9, s - h)) / (2 * h)
     assert d == pytest.approx(fd, rel=1e-8)
+    assert q_derivative(seq, np.array([0.0, s]), n=9)[1] == d
 
 
 def test_q_full_outside_radius_raises():
@@ -428,6 +474,13 @@ def test_q_full_outside_radius_raises():
         q_full(harmonic(), 1.0)
     with pytest.raises(DomainError):
         q_derivative(geometric(2.0), 0.5)
+
+
+def test_q_full_on_boundary_terms():
+    # sum (1e10 s)^m at s = 5e-11 is 1, though a_m = 1e10^m overflows;
+    # sum 0.1^(m-1) 9^m = 9/(1 - 0.9) = 90, though 0.1^(m-1) underflows
+    assert q_full(geometric(1e10), 5e-11) == pytest.approx(1.0, rel=1e-12)
+    assert q_full(custom([1.0, 0.1]), 9.0) == pytest.approx(90.0, rel=1e-12)
 
 
 def test_q_full_geometric_closed_form():
