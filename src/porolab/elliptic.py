@@ -396,13 +396,17 @@ def read_gridfunction_csv(path: str, grid: Grid) -> GridFunction:
 
     Row count and column count must match; coordinates must be finite and
     are checked loosely (within half a cell) to catch files from a different
-    grid.  Only the first line that is not a comment may be a header.
+    grid.  Only the first line that is not a comment may be a header, and
+    only when its first token is no number.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh]
     lines = [line for line in lines if line and not line.startswith("#")]
-    if lines and lines[0][0].isalpha():  # header
-        del lines[0]
+    if lines:
+        try:
+            float(lines[0].split(",")[0])
+        except ValueError:  # a header; "nan" and "inf" are data
+            del lines[0]
     try:
         data = np.asarray([[float(tok) for tok in line.split(",")] for line in lines])
     except ValueError as exc:  # a token that is no number, or ragged rows

@@ -76,7 +76,8 @@ class CoefficientSequence:
 
         With sigma = 1 these are the coefficients.  Otherwise the tail is a
         ratio tail: its head is formed in logs, so that neither a_m nor
-        sigma^m overflows on its own, and beyond it every term is a_L sigma^L.
+        sigma^m overflows on its own (b_m itself still may under- or
+        overflow), and beyond it every term is a_L sigma^L.
         """
         if self.sigma == 1.0:
             return self.coefficients(n)
@@ -339,30 +340,33 @@ def _horner_with_derivative(coeffs: np.ndarray, s):
 
 
 def _finite_terms(seq: CoefficientSequence, n: int) -> np.ndarray:
-    """boundary_terms(n); DomainError if one overflows float64, since Q_n is
-    then +inf at every s > 0."""
+    """boundary_terms(n), or DomainError where a term overflows float64 (Q_n
+    is then +inf at every s > 0) or where sigma^m scales a positive a_m to a
+    zero or subnormal b_m, which drops that term or its precision."""
     terms = seq.boundary_terms(n)
-    overflowed = np.flatnonzero(~np.isfinite(terms))
-    if overflowed.size:
-        m = int(overflowed[0]) + 1
-        raise DomainError(
-            f"boundary term a_{m} sigma^{m} of {seq.label} overflows float64"
-        )
+    bad = ~np.isfinite(terms)
+    if seq.sigma != 1.0:  # a ratio tail: every a_m beyond the head is positive
+        positive = np.array(seq.head[:n] + (1.0,) * (n - len(seq.head))) > 0.0
+        bad |= positive & (terms < np.finfo(float).tiny)
+    if np.any(bad):
+        m = int(np.flatnonzero(bad)[0]) + 1
+        fault = "overflows" if np.isinf(terms[m - 1]) else "underflows"
+        raise DomainError(f"boundary term a_{m} sigma^{m} of {seq.label} {fault} float64")
     return terms
 
 
 def q_partial(seq: CoefficientSequence, n: int, s):
     """Partial sum Q_n(s) = sum_{m<=n} a_m s^m; strictly increasing for s > 0.
 
-    Evaluated as sum b_m t^m on the boundary terms in t = s/sigma.  ``s``
-    may be a scalar or an array (evaluated elementwise).
+    Evaluated as sum b_m t^m on the checked boundary terms (_finite_terms)
+    in t = s/sigma.  ``s`` may be a scalar or an array (elementwise).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0):
         raise ValueError("s must be nonnegative")
-    out = _horner(seq.boundary_terms(n), arr / seq.sigma)
+    out = _horner(_finite_terms(seq, n), arr / seq.sigma)
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -376,8 +380,8 @@ def q_partial_inverse(
     """Solve Q_n(s) = y for s >= 0 (elementwise for arrays).
 
     The root is found in t = s/sigma, where Q_n = sum b_m t^m on the
-    boundary terms b_m = a_m sigma^m, and returned as sigma * t; a ratio
-    tail under- or overflows a_m and s^m, never b_m.  Monotone Newton
+    boundary terms b_m = a_m sigma^m, and returned as sigma * t; along a
+    ratio tail b_m is constant where a_m under- or overflows.  Monotone Newton
     iteration: the terms are nonnegative, so Q_n is increasing and convex
     in t >= 0, and Newton started above the root decreases monotonically
     onto it (Kelley, *Solving Nonlinear Equations with Newton's Method*,
@@ -389,7 +393,8 @@ def q_partial_inverse(
     terms (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1),
     below which float64 cannot place the root.  An iterate whose Q_n
     overflows never stops and ends in NoConvergence.  DomainError is raised
-    when a boundary term overflows or the start cap in t is not finite.
+    when a boundary term over- or underflows (see _finite_terms) or the
+    start cap in t is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -484,7 +489,7 @@ def q_derivative(
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0):
         raise ValueError("s must be nonnegative")
-    _, dq = _horner_with_derivative(seq.boundary_terms(n), arr / seq.sigma)
+    _, dq = _horner_with_derivative(_finite_terms(seq, n), arr / seq.sigma)
     out = dq / seq.sigma
     return float(out) if np.ndim(s) == 0 else out
 

@@ -290,6 +290,19 @@ def test_cli_solve_decaying_ratio_tail(tmp_path, capsys):
     assert "sup u = 9.90161064951 at n=512" in capsys.readouterr().out
 
 
+def test_cli_solve_underflowing_boundary_term_is_an_error(tmp_path, capsys):
+    # sigma = 1e-40 scales a_8 to a subnormal and a_9, a_10 to 0 in t
+    cfgfile = _write(
+        tmp_path,
+        "[domain]\nn_cells = 8\n\n[series]\nkind = custom\n"
+        "values = 1, 1, 1, 1, 1, 1, 1, 1, 1, 1e40\n",
+    )
+    out = tmp_path / "u.csv"
+    assert entry(["solve", "--config", cfgfile, "--n", "10", "--out", str(out)]) == 1
+    assert "a_8 sigma^8 " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_csv(tmp_path, capsys):
     cfgfile = _write(tmp_path, ANALYZE_INI)
     out = tmp_path / "s.csv"
@@ -542,23 +555,30 @@ def test_cli_non_finite_inputs_are_config_errors(tmp_path, capsys, coeff, datum)
 
 
 @pytest.mark.parametrize(
-    "first_row, message",
+    "first_row, message, headerless",
     [
-        ("-nan,0.5", "must be finite"),
-        ("nan,0.5", "must be finite"),
-        ("0.0,abc", "could not convert"),
-        ("0.0,0.5,0.5", "inhomogeneous"),
+        ("-nan,0.5", "must be finite", False),
+        ("nan,0.5", "must be finite", False),
+        ("nan,0.5", "must be finite", True),
+        ("inf,0.5", "must be finite", True),
+        ("0.0,abc", "could not convert", False),
+        ("0.0,0.5,0.5", "inhomogeneous", False),
     ],
 )
-def test_cli_malformed_data_rows_are_config_errors(tmp_path, capsys, first_row, message):
+def test_cli_malformed_data_rows_are_config_errors(
+    tmp_path, capsys, first_row, message, headerless
+):
     # a NaN coordinate passes a comparison with the grid, and a data row
-    # that starts with a letter is not a header unless it comes first
+    # that starts with a letter is not a header, not even in a file
+    # without one, where it comes first
     path = tmp_path / "f.csv"
     write_gridfunction_csv(
         GridFunction(grid=build_grid(1, (0.0, 1.0), 4), values=np.full(5, 0.5)), str(path)
     )
     lines = path.read_text().splitlines()
-    lines[1] = first_row
+    if headerless:
+        del lines[0]
+    lines[0 if headerless else 1] = first_row
     path.write_text("\n".join(lines) + "\n")
     cfgfile = _write(
         tmp_path, "[domain]\nn_cells = 4\n\n[data]\nkind = file\npath = f.csv\n\n"

@@ -360,6 +360,24 @@ def test_q_partial_inverse_rejects_overflowing_coefficients():
         q_partial_inverse(custom([0.001, 0.001, 547]), 1, 3.29e299)
 
 
+def test_underflowing_boundary_terms_are_domain_errors():
+    # sigma = 1e-40: b_8 = 1e-320 is subnormal and b_9 = b_10 = 0, though
+    # every raw a_m up to m = 16 is a normal number; Q_10(1) is 1e40 + 9
+    seq = custom([1.0] * 9 + [1e40])
+    for evaluate in (
+        lambda: q_partial(seq, 10, 1.0),
+        lambda: q_partial_inverse(seq, 10, 1e40),
+        lambda: q_derivative(seq, 1.0, n=10),
+    ):
+        with pytest.raises(DomainError, match=r"a_8 sigma\^8 .* underflows"):
+            evaluate()
+    # below the first subnormal term Q_n is still evaluated in t
+    assert q_partial(seq, 7, 1.0) == pytest.approx(7.0, rel=1e-12)
+    # sigma = 1e-170 scales both listed values to 0
+    with pytest.raises(DomainError, match=r"a_1 sigma\^1 .* underflows"):
+        q_partial_inverse(custom([1e-170, 1.0]), 2, 1.0)
+
+
 def _mp_root(values, n, y, start):
     """Root of Q_n(s) = y for custom(values) with its exact repeat-ratio
     tail, polished by Newton in 40 digits from ``start``."""
