@@ -104,7 +104,7 @@ def half_resolution(problem: EllipticProblem) -> EllipticProblem | None:
 def diagnose(
     seq: CoefficientSequence,
     problem: EllipticProblem,
-    tols: Tolerances | None = None,
+    tols: Tolerances = Tolerances(),
 ) -> DiagnosisReport:
     """Full classification of (sequence, problem) at the configured load.
 
@@ -113,8 +113,6 @@ def diagnose(
     A datum that vanishes inside the domain gives v1 = 0: then u = 0 solves
     every load and no eigensolve runs.
     """
-    tols = tols if tols is not None else Tolerances()
-    tols.validate()
     prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
     lam = problem.lambda_scale
     base = dict(
@@ -178,8 +176,6 @@ def diagnose(
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     rows: tuple[tuple[float, str], ...]
-    lambda_exist: float | None
-    lambda_nonexist: float | None
     base_report: DiagnosisReport
 
 
@@ -187,7 +183,7 @@ def lambda_sweep(
     seq: CoefficientSequence,
     problem: EllipticProblem,
     lambda_grid,
-    tols: Tolerances | None = None,
+    tols: Tolerances = Tolerances(),
 ) -> SweepResult:
     """Classify each load factor against one shared bracket.
 
@@ -199,22 +195,16 @@ def lambda_sweep(
         raise ValueError("lambda grid entries must be positive")
     report = diagnose(seq, problem, tols)
     band = report.tolerances.classification_band
-    rows = []
-    for lam in lams:
-        if report.verdict == VERDICT_ALL_DATA:
-            rows.append((lam, VERDICT_ALL_DATA))
-        elif report.lambda_exist is None:
-            rows.append((lam, VERDICT_INDETERMINATE))
-        else:
-            rows.append(
-                (lam, classify(lam, report.lambda_exist, report.lambda_nonexist, band))
-            )
-    return SweepResult(
-        rows=tuple(rows),
-        lambda_exist=report.lambda_exist,
-        lambda_nonexist=report.lambda_nonexist,
-        base_report=report,
+    rows = tuple(
+        (
+            lam,
+            VERDICT_INDETERMINATE
+            if report.lambda_exist is None
+            else classify(lam, report.lambda_exist, report.lambda_nonexist, band),
+        )
+        for lam in lams
     )
+    return SweepResult(rows=rows, base_report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import diagnose, half_resolution, lambda_sweep, report_to_json, to_json
+from .analysis import (
+    DiagnosisReport,
+    diagnose,
+    half_resolution,
+    lambda_sweep,
+    report_to_json,
+    to_json,
+)
 from .config import ExperimentConfig, load_config
 from .elliptic import GridFunction, write_gridfunction_csv
 from .errors import ConfigError, InvalidSequence, NoConvergence, PorolabError
@@ -74,6 +81,13 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def _bracket(report: DiagnosisReport) -> str:
+    return (
+        f"bracket: lambda_exist={_fmt(report.lambda_exist)}"
+        f" lambda_nonexist={_fmt(report.lambda_nonexist)}"
+    )
+
+
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     seq, problem = cfg.sequence, cfg.problem
@@ -81,13 +95,9 @@ def _cmd_analyze(args) -> int:
     half = half_resolution(problem) if report.lambda1 is not None else None
     coarse = diagnose(seq, half, cfg.tolerances) if half is not None else None
     print(f"verdict: {report.verdict}")
-    print(
-        "bracket: lambda_exist="
-        + _fmt(report.lambda_exist)
-        + " lambda_nonexist="
-        + _fmt(report.lambda_nonexist)
-    )
-    if coarse is not None:
+    print(_bracket(report))
+    # a datum can vanish on every other node, so that the coarse v1 is 0
+    if coarse is not None and coarse.lambda1 is not None:
         print(
             "half-resolution check: delta(sup_v1)="
             + _fmt(report.sup_v1 - coarse.sup_v1)
@@ -141,12 +151,7 @@ def _cmd_sweep(args) -> int:
         lines.append(f"{lam:.16e},{verdict}")
     with open(args.out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(
-        "bracket: lambda_exist="
-        + _fmt(result.lambda_exist)
-        + " lambda_nonexist="
-        + _fmt(result.lambda_nonexist)
-    )
+    print(_bracket(result.base_report))
     return 0
 
 

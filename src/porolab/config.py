@@ -153,27 +153,22 @@ class _SectionReader:
             raise ConfigError(f"{self.section}.{key} must be at least {minimum}")
         return val
 
-    def real_list(self, key, default=None):
+    def _list(self, key, cast, kind, default):
         if key not in self.raw:
             return default
         toks = [t for t in self.raw[key].replace(",", " ").split() if t]
         try:
-            return tuple(float(t) for t in toks)
+            return tuple(cast(t) for t in toks)
         except ValueError:
             raise ConfigError(
-                f"{self.section}.{key} must be a comma-separated list of reals"
+                f"{self.section}.{key} must be a comma-separated list of {kind}"
             ) from None
 
+    def real_list(self, key, default=None):
+        return self._list(key, float, "reals", default)
+
     def int_list(self, key, default=None):
-        if key not in self.raw:
-            return default
-        toks = [t for t in self.raw[key].replace(",", " ").split() if t]
-        try:
-            return tuple(int(t) for t in toks)
-        except ValueError:
-            raise ConfigError(
-                f"{self.section}.{key} must be a comma-separated list of integers"
-            ) from None
+        return self._list(key, int, "integers", default)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -284,7 +279,6 @@ def load_config(path: str) -> ExperimentConfig:
             "max_invert_iter", default=Tolerances.max_invert_iter, minimum=1
         ),
     )
-    tols.validate()
 
     run = _SectionReader(parser, "run")
     schedule = run.int_list("n_schedule", default=_DEFAULT_SCHEDULE)

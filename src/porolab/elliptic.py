@@ -411,7 +411,7 @@ def read_gridfunction_csv(path: str, grid: Grid) -> GridFunction:
         data = np.asarray([[float(tok) for tok in line.split(",")] for line in lines])
     except ValueError as exc:  # a token that is no number, or ragged rows
         raise ConfigError(f"data.file: {path}: {exc}") from None
-    want_cols = 2 if grid.dim == 1 else 3
+    want_cols = grid.dim + 1
     if data.ndim != 2 or data.shape[1] != want_cols:
         raise ConfigError(f"data.file: expected {want_cols} columns in {path}")
     if data.shape[0] != grid.n_nodes:
@@ -420,19 +420,7 @@ def read_gridfunction_csv(path: str, grid: Grid) -> GridFunction:
         )
     if not np.all(np.isfinite(data[:, :-1])):
         raise ConfigError(f"data.file: node coordinates in {path} must be finite")
-    coords = grid.node_coordinates()
-    tol = 0.5 * grid.h_max
-    if grid.dim == 1:
-        if np.max(np.abs(data[:, 0] - coords[0])) > tol:
-            raise ConfigError(f"data.file: node coordinates in {path} do not match grid")
-        vals = data[:, 1]
-    else:
-        x_flat = coords[0].ravel()
-        y_flat = coords[1].ravel()
-        if (
-            np.max(np.abs(data[:, 0] - x_flat)) > tol
-            or np.max(np.abs(data[:, 1] - y_flat)) > tol
-        ):
-            raise ConfigError(f"data.file: node coordinates in {path} do not match grid")
-        vals = data[:, 2]
-    return GridFunction(grid=grid, values=vals.reshape(grid.node_shape))
+    coords = np.stack([c.ravel() for c in grid.node_coordinates()], axis=1)
+    if np.max(np.abs(data[:, :-1] - coords)) > 0.5 * grid.h_max:
+        raise ConfigError(f"data.file: node coordinates in {path} do not match grid")
+    return GridFunction(grid=grid, values=data[:, -1].reshape(grid.node_shape))

@@ -12,6 +12,7 @@ class Tolerances:
     """Bundle of tolerances and caps used throughout a diagnosis/run.
 
     ``max_linear_iter = None`` means 10x the number of interior unknowns.
+    Every value is checked once, when the bundle is built.
     """
 
     tol_linear: float = 1e-12
@@ -23,7 +24,7 @@ class Tolerances:
     max_eig_iter: int = 500
     max_invert_iter: int = 200
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("tol_linear", "tol_eig", "tol_series", "tol_invert"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"solver.{name} must be positive")

@@ -67,10 +67,9 @@ class ApproximationRun:
 
 
 def solve_unit_load(
-    problem: EllipticProblem, tols: Tolerances | None = None
+    problem: EllipticProblem, tols: Tolerances = Tolerances()
 ) -> tuple[SparseOperator, GridFunction]:
     """Assemble A_h once and solve A_h v1 = f; every load's v is lambda * v1."""
-    tols = tols if tols is not None else Tolerances()
     op = assemble_operator(problem.grid, problem.field)
     v1 = solve_linear(op, problem.f, tols.tol_linear, max_iter=tols.max_linear_iter)
     return op, v1
@@ -78,23 +77,19 @@ def solve_unit_load(
 
 def approximate_solution(
     seq: CoefficientSequence,
-    problem: EllipticProblem,
+    v: GridFunction,
     n: int,
-    tols: Tolerances | None = None,
-    v: GridFunction | None = None,
+    tols: Tolerances = Tolerances(),
 ) -> GridFunction:
-    """u_n = Q_n^{-1}(v) nodewise; v defaults to lambda * v1 and is reusable across n."""
+    """u_n = Q_n^{-1}(v) nodewise on v's grid; v = lambda * v1 is reusable across n."""
     if n < 1:
         raise ValueError("approximation order n must be >= 1")
-    tols = tols if tols is not None else Tolerances()
-    if v is None:
-        v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
     # maximum principle gives v >= 0 up to solver tolerance; clamp roundoff
     y = np.maximum(v.values, 0.0)
     u = q_partial_inverse(
         seq, n, y, tol=tols.tol_invert, max_iter=tols.max_invert_iter
     )
-    return GridFunction(grid=problem.grid, values=u)
+    return GridFunction(grid=v.grid, values=u)
 
 
 def default_test_set(v1: GridFunction) -> list[GridFunction]:
@@ -139,7 +134,7 @@ def weak_residual(
     u: GridFunction,
     M_terms: int,
     test_set: list[GridFunction] | None = None,
-    tols: Tolerances | None = None,
+    tols: Tolerances = Tolerances(),
     op: SparseOperator | None = None,
 ) -> float:
     """Defect of the truncated weak identity against a set of test functions.
@@ -188,14 +183,13 @@ def converge(
     problem: EllipticProblem,
     n_schedule,
     stop_tol: float,
-    tols: Tolerances | None = None,
+    tols: Tolerances = Tolerances(),
 ) -> ApproximationRun:
     """Run the approximation schedule until successive iterates settle.
 
     Stops once sup|u_n - u_next| <= stop_tol; otherwise runs the whole
     schedule (expected where the limit touches sigma).
     """
-    tols = tols if tols is not None else Tolerances()
     schedule = [int(n) for n in n_schedule]
     if not schedule:
         raise ConfigError("run.n_schedule must not be empty")
@@ -216,7 +210,7 @@ def converge(
     prev: GridFunction | None = None
     converged = False
     for n in schedule:
-        u = approximate_solution(seq, problem, n, tols, v=v)
+        u = approximate_solution(seq, v, n, tols)
         u_by_n[n] = u
         sup_hist.append((n, sup_norm(u)))
         r = weak_residual(seq, problem, u, n, test_set=test_set, tols=tols, op=op)
@@ -240,12 +234,11 @@ def flat_zone(
     seq: CoefficientSequence,
     problem: EllipticProblem,
     n_large: int,
-    tols: Tolerances | None = None,
+    tols: Tolerances = Tolerances(),
 ) -> FlatZoneResult:
     """Locate {v >= K} and the mean distance of u_{n_large} to sigma on it."""
     if n_large < 1:
         raise ValueError("n_large must be >= 1")
-    tols = tols if tols is not None else Tolerances()
     prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
     if not prof.K.is_finite:
         reason = (
@@ -255,7 +248,7 @@ def flat_zone(
         )
         return FlatZoneResult(status=ZONE_NOT_APPLICABLE, sigma=prof.sigma, detail=reason)
     v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
-    u = approximate_solution(seq, problem, n_large, tols, v=v)
+    u = approximate_solution(seq, v, n_large, tols)
     mask = v.values >= prof.K.value
     gap = (
         float(np.mean(np.abs(u.values[mask] - prof.sigma))) if mask.any() else 0.0

@@ -6,9 +6,10 @@ head values followed by one tail rule, and carries its exact radius of
 convergence sigma, fixed by that rule: 1 for a power or log tail, 1/rate for
 a ratio tail.  From the shape of the tail this module decides whether the
 boundary sum sum a_m sigma^m converges (with a certificate, never a guess),
-and it evaluates Q, its partial sums Q_n and their inverses on the boundary
-terms a_m sigma^m in t = s/sigma.  All operations are pure; sequences are
-immutable and safe to share.
+and it evaluates the partial sums Q_n, their derivatives Q_n' and their
+inverses on the boundary terms a_m sigma^m in t = s/sigma; the full series Q
+is never summed.  All operations are pure; sequences are immutable and safe
+to share.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ TAILS = ("repeat-ratio", "power-law")
 RULE_RATIO = "ratio"
 RULE_POWER = "power"
 RULE_LOG = "log"
-
-_Q_FULL_TERM_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -442,48 +441,10 @@ def q_partial_inverse(
     return float(t[0]) if np.ndim(y) == 0 else t.reshape(np.shape(y))
 
 
-def _full_series(seq: CoefficientSequence, s: float, tol: float, k: int) -> float:
-    """sum_m m^k b_m t^(m-k) / sigma^k in t = s/sigma: Q(s) for k = 0, Q'(s)
-    for k = 1.  Summed in blocks of 256 terms until the geometric envelope
-    of the tail beyond the last term M, that term times
-    t/(1 - t) + k t/(M (1 - t)^2), drops below ``tol``.  Requires s < sigma.
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    t = s / seq.sigma
-    if t >= 1.0:
-        raise DomainError(f"s={s} is outside [0, sigma={seq.sigma})")
-    total = 0.0
-    for stop in range(256, _Q_FULL_TERM_CAP + 256, 256):
-        m = np.arange(stop - 255.0, stop + 1.0)
-        b = _finite_terms(seq, stop)[stop - 256 :]
-        terms = m**k * b * t ** (m - k) / seq.sigma**k
-        total += float(np.sum(terms))
-        if terms[-1] * (t / (1.0 - t) + k * t / (stop * (1.0 - t) ** 2)) < tol:
-            return total
-    raise NoConvergence("series truncation cap reached; s may be too close to sigma")
-
-
-def q_full(seq: CoefficientSequence, s: float, tol: float = 1e-10) -> float:
-    """Full series Q(s) = sum b_m t^m in t = s/sigma, adaptively truncated
-    (see _full_series).  Requires s < sigma."""
-    return _full_series(seq, s, tol, 0)
-
-
-def q_derivative(
-    seq: CoefficientSequence,
-    s: float,
-    tol: float = 1e-10,
-    n: int | None = None,
-) -> float:
-    """Q'(s) = sum m a_m s^(m-1) = sum m b_m t^(m-1) / sigma, t = s/sigma.
-
-    With ``n`` given, the exact derivative of the partial sum Q_n at any
-    s >= 0, elementwise for an array ``s``; otherwise the full series with
-    the same adaptive truncation as q_full (requires s < sigma).
-    """
-    if n is None:
-        return _full_series(seq, s, tol, 1)
+def q_derivative(seq: CoefficientSequence, s, n: int):
+    """Q_n'(s) = sum_{m<=n} m a_m s^(m-1) = sum m b_m t^(m-1) / sigma in
+    t = s/sigma: the exact derivative of the partial sum at any s >= 0,
+    elementwise for an array ``s``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.asarray(s, dtype=float)

@@ -260,6 +260,27 @@ def test_sweep_single_diagnosis_shared():
     assert res.base_report.verdict == VERDICT_ALL_DATA
 
 
+@pytest.mark.parametrize(
+    "seq,f_value,tols",
+    [
+        (log_kind(), 1.0, Tolerances()),  # finite K
+        (harmonic(), 1.0, Tolerances()),  # divergent K
+        (log_kind(), 0.0, Tolerances()),  # zero datum
+        (power_law(-2.0), 1.0, Tolerances(tol_series=1e-14)),  # inconclusive K
+    ],
+)
+def test_sweep_agrees_with_diagnose(seq, f_value, tols):
+    base = diagnose(seq, _unit_problem(n=16, f_value=f_value), tols)
+    lams = [1.0, 10.0, 100.0]
+    if base.lambda1 is not None:  # loads below, on, between and above the bracket
+        lo, hi = base.lambda_exist, base.lambda_nonexist
+        lams = [lo / 2, lo, (lo + hi) / 2, hi, 2 * hi]
+    res = lambda_sweep(seq, _unit_problem(n=16, f_value=f_value), lams, tols)
+    for lam, verdict in res.rows:
+        problem = _unit_problem(lambda_scale=lam, n=16, f_value=f_value)
+        assert verdict == diagnose(seq, problem, tols).verdict, lam
+
+
 def test_sweep_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
         lambda_sweep(log_kind(), _unit_problem(), [1.0, 0.0])

@@ -493,6 +493,20 @@ def test_cli_zero_datum_exists_for_all_loads(tmp_path, monkeypatch, capsys, comm
         assert [r.split(",")[1] for r in rows] == ["ExistsAllData"] * 3
 
 
+def test_cli_analyze_skips_half_resolution_when_coarse_datum_vanishes(tmp_path, capsys):
+    # f = 1 on odd nodes only: every other node carries f = 0, so the coarse
+    # problem has v1 = 0 and no lambda1 to compare with
+    g = build_grid(1, n_cells=16)
+    f = GridFunction(grid=g, values=(np.arange(g.n_nodes) % 2).astype(float))
+    write_gridfunction_csv(f, str(tmp_path / "f.csv"))
+    text = "[domain]\nn_cells = 16\n\n[data]\nkind = file\npath = f.csv\n\n[series]\nkind = log\n"
+    out = tmp_path / "report.json"
+    assert entry(["analyze", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "half-resolution check:" not in stdout
+    assert _json_body(out)["lambda1"] is not None
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 1: configuration problems, including usage errors
     assert entry(["analyze", "--config", "/no/such.ini"]) == 1

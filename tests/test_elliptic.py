@@ -470,6 +470,12 @@ def test_csv_read_rejects_wrong_grid(tmp_path):
     shifted = build_grid(1, (5.0, 6.0), 8)
     with pytest.raises(ConfigError, match="coordinates"):
         read_gridfunction_csv(str(path), shifted)
+    g2 = build_grid(2, n_cells=8, n_cells_y=6)
+    write_gridfunction_csv(GridFunction.zero(g2), str(path))
+    for x_extent, y_extent in (((5.0, 6.0), (0.0, 1.0)), ((0.0, 1.0), (5.0, 6.0))):
+        moved = build_grid(2, x_extent, 8, y_extent, 6)
+        with pytest.raises(ConfigError, match="coordinates"):
+            read_gridfunction_csv(str(path), moved)
 
 
 def test_csv_to_string_precision():

@@ -12,8 +12,7 @@ from porolab.params import Tolerances
 
 
 def test_defaults_validate():
-    t = Tolerances()
-    t.validate()
+    t = Tolerances()  # checked when built
     assert t.tol_linear == 1e-12
     assert t.tol_eig == 1e-10
     assert t.tol_series == 1e-8
@@ -41,7 +40,7 @@ def test_classification_band_definition():
 )
 def test_validate_names_the_key(kwargs, key):
     with pytest.raises(ConfigError, match=key):
-        Tolerances(**kwargs).validate()
+        Tolerances(**kwargs)
 
 
 def test_errors_share_a_base():

@@ -21,7 +21,6 @@ from porolab.series import (
     power_law,
     profile,
     q_derivative,
-    q_full,
     q_partial,
     q_partial_inverse,
 )
@@ -455,26 +454,28 @@ def test_q_partial_inverse_properties(head, middle, last, tail, n, ys):
 
 
 # ---------------------------------------------------------------------------
-# full series
+# partial sums against closed forms of the full series
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("s", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 def test_q_full_harmonic_closed_form(s):
-    val = q_full(harmonic(), s)
+    # -log(1 - s); the terms beyond n = 1024 sum to below 0.9^1024 / 0.1
+    val = q_partial(harmonic(), 1024, s)
     assert abs(val - (-math.log1p(-s))) <= 1e-8
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 0.9, 0.999])
 def test_q_full_log_kind_closed_form(s):
-    val = q_full(log_kind(), s)
+    # beyond n the terms sum to below s^n / n^2 / (1 - s): 3e-13 at s = 0.999
+    val = q_partial(log_kind(), 16384, s)
     exact = 2 * s + (1 - s) * math.log1p(-s) if s > 0 else 0.0
     assert abs(val - exact) <= 1e-8
 
 
 @pytest.mark.parametrize("s", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 def test_q_derivative_log_kind_closed_form(s):
-    val = q_derivative(log_kind(), s)
+    val = q_derivative(log_kind(), s, n=1024)
     assert abs(val - (1.0 - math.log1p(-s))) <= 1e-8
 
 
@@ -487,23 +488,16 @@ def test_q_derivative_partial_matches_difference_quotient():
     assert q_derivative(seq, np.array([0.0, s]), n=9)[1] == d
 
 
-def test_q_full_outside_radius_raises():
-    with pytest.raises(DomainError):
-        q_full(harmonic(), 1.0)
-    with pytest.raises(DomainError):
-        q_derivative(geometric(2.0), 0.5)
-
-
 def test_q_full_on_boundary_terms():
     # sum (1e10 s)^m at s = 5e-11 is 1, though a_m = 1e10^m overflows;
     # sum 0.1^(m-1) 9^m = 9/(1 - 0.9) = 90, though 0.1^(m-1) underflows
-    assert q_full(geometric(1e10), 5e-11) == pytest.approx(1.0, rel=1e-12)
-    assert q_full(custom([1.0, 0.1]), 9.0) == pytest.approx(90.0, rel=1e-12)
+    assert q_partial(geometric(1e10), 1024, 5e-11) == pytest.approx(1.0, rel=1e-12)
+    assert q_partial(custom([1.0, 0.1]), 1024, 9.0) == pytest.approx(90.0, rel=1e-12)
 
 
 def test_q_full_geometric_closed_form():
     # sum (rs)^m = rs/(1-rs)
-    val = q_full(geometric(0.5), 1.2)
+    val = q_partial(geometric(0.5), 1024, 1.2)
     rs = 0.6
     assert val == pytest.approx(rs / (1 - rs), rel=1e-9)
 
