@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import series as series_mod
 from .elliptic import (
-    EllipticProblem,
-    GridFunction,
+    Axis,
     CoefficientField,
+    EllipticProblem,
+    Grid,
+    GridFunction,
     measure_above,
     sup_norm,
 )
@@ -82,19 +84,15 @@ def half_resolution(problem: EllipticProblem) -> EllipticProblem | None:
     None when an axis has an odd cell count or fewer than 8 cells.
     """
     g = problem.grid
-    if any(n % 2 or n < 8 for n in (g.nx, g.ny)[: g.dim]):
+    if any(a.n % 2 or a.n < 8 for a in g.axes):
         return None
-    half = replace(g, nx=g.nx // 2, ny=None if g.ny is None else g.ny // 2)
+    half = Grid(tuple(Axis(a.lo, a.hi, a.n // 2) for a in g.axes))
     every_other = (slice(None, None, 2),) * g.dim
     fld = problem.field
     return EllipticProblem(
         grid=half,
         field=CoefficientField(
-            grid=half,
-            ax=fld.ax[::2],
-            ay=None if fld.ay is None else fld.ay[::2],
-            alpha=fld.alpha,
-            beta=fld.beta,
+            half, tuple(a[::2] for a in fld.profiles), fld.alpha, fld.beta
         ),
         f=GridFunction(grid=half, values=problem.f.values[every_other]),
         lambda_scale=problem.lambda_scale,
@@ -118,7 +116,7 @@ def diagnose(
     base = dict(
         series_profile=prof,
         lambda_scale=lam,
-        grid_n=problem.grid.nx,
+        grid_n=problem.grid.axes[0].n,
         tolerances=tols,
     )
 

@@ -232,10 +232,9 @@ def load_config(path: str) -> ExperimentConfig:
         amplitude = data.real("amplitude", default=1.0)
         if amplitude < 0:
             raise ConfigError("data.amplitude must be nonnegative")
-        coords = grid.node_coordinates()
-        r2 = (coords[0] - data.real("center_x", default=0.5 * (x0 + x1))) ** 2
-        if grid.dim == 2:
-            r2 = r2 + (coords[1] - data.real("center_y", default=0.5 * (y0 + y1))) ** 2
+        cx = data.real("center_x", default=0.5 * (x0 + x1))
+        cy = data.real("center_y", default=0.5 * (y0 + y1))
+        r2 = sum((c - c0) ** 2 for c, c0 in zip(grid.node_coordinates(), (cx, cy)))
         f = GridFunction(grid=grid, values=amplitude * np.exp(-r2 / (2.0 * width**2)))
     else:
         f_path = data.text("path")

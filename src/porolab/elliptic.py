@@ -1,17 +1,19 @@
 """Uniform-grid discretization of -div(A(x) grad v) on an interval or rectangle.
 
-Homogeneous Dirichlet conditions, diagonal coefficient tensor diag(a_x(x),
-a_y(y)) given as one nodal profile per axis, 3-point (1D) or 5-point (2D)
-flux-form stencil with arithmetic-mean face coefficients.  Both dimensions
-share one assembly path, so the 2D matrix is the Kronecker sum
-I (x) T_x + T_y (x) I of the two 1D matrices, up to the rounding of its
-diagonal sums.  The assembled matrix over interior nodes is a symmetric
-M-matrix, so the discrete maximum principle holds: nonnegative data give
-nonnegative solutions.
+A grid is a tuple of axes, x first; every quantity on it is one expression or
+one loop over its axes, the same code in 1D and 2D.  Homogeneous Dirichlet
+conditions, diagonal coefficient tensor diag(a_x(x), a_y(y)) given as one
+nodal profile per axis, flux-form stencil with arithmetic-mean face
+coefficients: each axis adds its 3-point stencil, so the 2D matrix is the
+Kronecker sum I (x) T_x + T_y (x) I of the two 1D matrices, up to the
+rounding of its diagonal sums.  The assembled matrix over interior nodes is a
+symmetric M-matrix, so the discrete maximum principle holds: nonnegative
+data give nonnegative solutions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,53 +28,51 @@ from .errors import (
     NoConvergence,
 )
 
+_AXIS_NAMES = "xy"
+
+
+@dataclass(frozen=True)
+class Axis:
+    """Uniform nodes from lo to hi: n cells, n + 1 nodes."""
+
+    lo: float
+    hi: float
+    n: int
+
+    @property
+    def h(self) -> float:
+        return (self.hi - self.lo) / self.n
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.n + 1)
+
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node grid on (x0, x1) or (x0, x1) x (y0, y1).
+    """Uniform node grid on the product of its axes, x first.
 
-    ``nx``/``ny`` count cells per axis; nodes per axis are one more.  Nodal
-    arrays are indexed [i] in 1D and [j, i] in 2D (rows sweep y), so flattened
-    node order is row-major by y then x.
+    Nodal arrays index the axes in reverse, [i] in 1D and [j, i] in 2D (rows
+    sweep y), so flattened node order is row-major by y then x.
     """
 
-    dim: int
-    x0: float
-    x1: float
-    nx: int
-    y0: float | None = None
-    y1: float | None = None
-    ny: int | None = None
+    axes: tuple[Axis, ...]
 
     @property
-    def hx(self) -> float:
-        return (self.x1 - self.x0) / self.nx
-
-    @property
-    def hy(self) -> float:
-        return (self.y1 - self.y0) / self.ny
+    def dim(self) -> int:
+        return len(self.axes)
 
     @property
     def h_max(self) -> float:
-        return self.hx if self.dim == 1 else max(self.hx, self.hy)
+        return max(a.h for a in self.axes)
 
     @property
     def cell_volume(self) -> float:
-        return self.hx if self.dim == 1 else self.hx * self.hy
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x0, self.x1, self.nx + 1)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.y0, self.y1, self.ny + 1)
+        return math.prod(a.h for a in self.axes)
 
     @property
     def node_shape(self) -> tuple[int, ...]:
-        if self.dim == 1:
-            return (self.nx + 1,)
-        return (self.ny + 1, self.nx + 1)
+        return tuple(a.n + 1 for a in reversed(self.axes))
 
     @property
     def n_nodes(self) -> int:
@@ -80,18 +80,14 @@ class Grid:
 
     @property
     def interior_shape(self) -> tuple[int, ...]:
-        if self.dim == 1:
-            return (self.nx - 1,)
-        return (self.ny - 1, self.nx - 1)
+        return tuple(a.n - 1 for a in reversed(self.axes))
 
     @property
     def n_interior(self) -> int:
         return int(np.prod(self.interior_shape))
 
-    def interior_slice(self):
-        if self.dim == 1:
-            return slice(1, self.nx)
-        return (slice(1, self.ny), slice(1, self.nx))
+    def interior_slice(self) -> tuple[slice, ...]:
+        return tuple(slice(1, a.n) for a in reversed(self.axes))
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.ones(self.node_shape, dtype=bool)
@@ -99,11 +95,8 @@ class Grid:
         return mask
 
     def node_coordinates(self) -> tuple[np.ndarray, ...]:
-        """Nodal coordinate arrays with the same shape as nodal value arrays."""
-        if self.dim == 1:
-            return (self.xs,)
-        x, y = np.meshgrid(self.xs, self.ys)
-        return (x, y)
+        """Nodal coordinate arrays, x first, each shaped like nodal values."""
+        return tuple(np.meshgrid(*(a.nodes for a in self.axes)))
 
 
 def build_grid(
@@ -113,56 +106,53 @@ def build_grid(
     y_extent: tuple[float, float] | None = None,
     n_cells_y: int | None = None,
 ) -> Grid:
-    """Uniform grid; node coordinates are a pure function of the arguments."""
+    """Uniform grid; node coordinates are a pure function of the arguments.
+
+    The y axis defaults to the x extent and cell count."""
     if dim not in (1, 2):
         raise ConfigError("domain.dim must be 1 or 2")
-    x0, x1 = float(x_extent[0]), float(x_extent[1])
-    if not x1 > x0:
-        raise ConfigError("domain x extent is degenerate (need x1 > x0)")
-    if n_cells < 4:
-        raise ConfigError("domain.n_cells must be at least 4 per axis")
-    if dim == 1:
-        return Grid(dim=1, x0=x0, x1=x1, nx=int(n_cells))
-    y_extent = y_extent if y_extent is not None else x_extent
-    ny = int(n_cells_y) if n_cells_y is not None else int(n_cells)
-    y0, y1 = float(y_extent[0]), float(y_extent[1])
-    if not y1 > y0:
-        raise ConfigError("domain y extent is degenerate (need y1 > y0)")
-    if ny < 4:
-        raise ConfigError("domain.n_cells must be at least 4 per axis")
-    return Grid(dim=2, x0=x0, x1=x1, nx=int(n_cells), y0=y0, y1=y1, ny=ny)
+    extents = (x_extent, x_extent if y_extent is None else y_extent)
+    cells = (n_cells, n_cells if n_cells_y is None else n_cells_y)
+    axes = []
+    for name, (lo, hi), n in zip(_AXIS_NAMES[:dim], extents, cells):
+        lo, hi = float(lo), float(hi)
+        if not hi > lo:
+            raise ConfigError(f"domain {name} extent is degenerate (need {name}1 > {name}0)")
+        if n < 4:
+            raise ConfigError("domain.n_cells must be at least 4 per axis")
+        axes.append(Axis(lo, hi, int(n)))
+    return Grid(tuple(axes))
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
     """Diagonal coefficient tensor as one nodal profile per axis.
 
-    ``ax`` (nx+1 values) multiplies the x-derivative flux, ``ay`` (ny+1
-    values, 2D only) the y-derivative flux.  Both are stored read-only.
-    [alpha, beta] is the declared ellipticity window; every value must be
-    finite and lie inside it.
+    ``profiles[k]`` (one value per node of axis k) multiplies the flux along
+    axis k; each is stored read-only.  [alpha, beta] is the declared
+    ellipticity window; every value must be finite and lie inside it.
     """
 
     grid: Grid
-    ax: np.ndarray
-    ay: np.ndarray | None = None
+    profiles: tuple[np.ndarray, ...]
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self):
-        g = self.grid
-        if (self.ay is None) != (g.dim == 1):
+        if len(self.profiles) != self.grid.dim:
             raise EllipticityError("need one coefficient profile per axis")
         profiles = []
-        for name, n in (("ax", g.nx), ("ay", g.ny))[: g.dim]:
-            a = np.array(getattr(self, name), dtype=float)
-            if a.shape != (n + 1,):
-                raise EllipticityError(f"coefficient profile {name} needs {n + 1} values")
+        for name, axis, a in zip(_AXIS_NAMES, self.grid.axes, self.profiles):
+            a = np.array(a, dtype=float)
+            if a.shape != (axis.n + 1,):
+                raise EllipticityError(
+                    f"coefficient profile a{name} needs {axis.n + 1} values"
+                )
             if not np.all(np.isfinite(a)):
-                raise EllipticityError(f"coefficient profile {name} is not finite")
+                raise EllipticityError(f"coefficient profile a{name} is not finite")
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
             profiles.append(a)
+        object.__setattr__(self, "profiles", tuple(profiles))
         lo = float(min(a.min() for a in profiles))
         hi = float(max(a.max() for a in profiles))
         object.__setattr__(self, "alpha", float(self.alpha if self.alpha > 0 else lo))
@@ -186,9 +176,9 @@ def ramp_field(
     alpha: float = 0.0,
     beta: float = 0.0,
 ) -> CoefficientField:
-    """ax = base + slope_x * x, ay = base + slope_y * y."""
-    ay = base + slope_y * grid.ys if grid.dim == 2 else None
-    return CoefficientField(grid, base + slope_x * grid.xs, ay, alpha, beta)
+    """a_x = base + slope_x * x, a_y = base + slope_y * y."""
+    profiles = tuple(base + slope * a.nodes for slope, a in zip((slope_x, slope_y), grid.axes))
+    return CoefficientField(grid, profiles, alpha, beta)
 
 
 def constant_field(grid: Grid, value: float = 1.0) -> CoefficientField:
@@ -274,24 +264,29 @@ def assemble_operator(grid: Grid, field: CoefficientField) -> SparseOperator:
     eliminated.  Result is symmetric with M-matrix sign pattern."""
     if field.grid != grid:
         raise EllipticityError("coefficient field grid does not match")
-    # couplings of each interior node (rows y, columns x) to its neighbours
     shape = grid.interior_shape
-    west, east = (np.broadcast_to(c, shape).copy() for c in _couplings(field.ax, grid.hx))
-    diag = west + east
-    if grid.dim == 2:
-        south, north = _couplings(field.ay, grid.hy)
-        diag = diag + south[:, None] + north[:, None]
-    # a row's first west and last east neighbour sit on the rim, not in the
-    # flat order; sp.diags drops these zeros
-    west[..., 0] = 0.0
-    east[..., -1] = 0.0
-    bands = [-west.ravel()[1:], diag.ravel(), -east.ravel()[:-1]]
-    offsets = [-1, 0, 1]
-    if grid.dim == 2:
-        m = grid.nx - 1
-        bands = [-np.repeat(south, m)[m:], *bands, -np.repeat(north, m)[:-m]]
-        offsets = [-m, *offsets, m]
-    mat = sp.diags(bands, offsets=offsets, format="csr")
+    diag = np.zeros(shape)
+    bands = {}
+    stride = 1  # flat distance between neighbours along the axis
+    for k, (axis, a) in enumerate(zip(grid.axes, field.profiles)):
+        # couplings of each interior node to its neighbours along axis k,
+        # which is array axis -1 - k
+        lower, upper = (
+            np.broadcast_to(c.reshape(-1, *(1,) * k), shape).copy()
+            for c in _couplings(a, axis.h)
+        )
+        diag += lower
+        diag += upper
+        # the first lower and the last upper neighbour on each line sit on
+        # the rim, not in the flat order; sp.diags drops these zeros
+        np.moveaxis(lower, -1 - k, 0)[0] = 0.0
+        np.moveaxis(upper, -1 - k, 0)[-1] = 0.0
+        bands[-stride] = -lower.ravel()[stride:]
+        bands[stride] = -upper.ravel()[:-stride]
+        stride *= axis.n - 1
+    bands[0] = diag.ravel()
+    offsets = sorted(bands)
+    mat = sp.diags([bands[o] for o in offsets], offsets=offsets, format="csr")
     return SparseOperator(grid=grid, matrix=mat)
 
 
@@ -338,14 +333,11 @@ def sup_norm(u: GridFunction) -> float:
 
 def h1_seminorm(u: GridFunction) -> float:
     """Discrete gradient l2 norm: forward differences weighted by cell volume."""
-    g = u.grid
-    v = u.values
-    if g.dim == 1:
-        d = np.diff(v) / g.hx
-        return float(np.sqrt(np.sum(d * d) * g.hx))
-    dx = np.diff(v, axis=1) / g.hx
-    dy = np.diff(v, axis=0) / g.hy
-    return float(np.sqrt((np.sum(dx * dx) + np.sum(dy * dy)) * g.cell_volume))
+    total = 0.0
+    for k, axis in enumerate(u.grid.axes):
+        d = np.diff(u.values, axis=-1 - k) / axis.h
+        total += np.sum(d * d)
+    return float(np.sqrt(total * u.grid.cell_volume))
 
 
 def h1_norm(u: GridFunction) -> float:
@@ -370,19 +362,13 @@ def require_zero_boundary(u: GridFunction, what: str = "function") -> None:
 
 def gridfunction_to_csv(u: GridFunction, comment: str | None = None) -> str:
     g = u.grid
-    lines = []
-    if comment is not None:
-        lines.append(f"# {comment}")
-    if g.dim == 1:
-        lines.append("x,value")
-        for x, val in zip(g.xs, u.values):
-            lines.append(f"{x:.16e},{val:.16e}")
-    else:
-        lines.append("x,y,value")
-        xs = [f"{x:.16e}" for x in g.xs]
-        for y, row in zip(g.ys, u.values.tolist()):
-            y_s = f"{y:.16e}"
-            lines.extend(f"{x_s},{y_s},{val:.16e}" for x_s, val in zip(xs, row))
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append("".join(f"{name}," for name, _ in zip(_AXIS_NAMES, g.axes)) + "value")
+    xs = [f"{x:.16e}," for x in g.axes[0].nodes]
+    # one line of nodes per y; a 1D grid is one line with an empty y label
+    ys = [f"{y:.16e}," for axis in g.axes[1:] for y in axis.nodes] or [""]
+    for y_s, row in zip(ys, u.values.reshape(len(ys), -1).tolist()):
+        lines.extend(f"{x_s}{y_s}{val:.16e}" for x_s, val in zip(xs, row))
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ the boundary sum K).  No eigensolve runs here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,6 @@ class FlatZoneResult:
     measure: float = 0.0
     mean_gap: float = 0.0
     zone_mask: GridFunction | None = None
-    v: GridFunction | None = None
-    u: GridFunction | None = None
     sigma: float | None = None
     K_value: float | None = None
     n_large: int | None = None
@@ -101,26 +100,14 @@ def default_test_set(v1: GridFunction) -> list[GridFunction]:
     """
     g = v1.grid
     out: list[GridFunction] = []
-    if g.dim == 1:
-        for q in (1, 2, 3, 4, 5):
-            i = min(max(1, round(q * g.nx / 6)), g.nx - 1)
-            vals = np.zeros(g.node_shape)
-            vals[i] = 1.0
-            out.append(GridFunction(grid=g, values=vals))
-        x = g.xs
-        sine = np.sin(np.pi * (x - g.x0) / (g.x1 - g.x0))
-    else:
-        for q in (1, 2, 3, 4, 5):
-            i = min(max(1, round(q * g.nx / 6)), g.nx - 1)
-            j = min(max(1, round(q * g.ny / 6)), g.ny - 1)
-            vals = np.zeros(g.node_shape)
-            vals[j, i] = 1.0
-            out.append(GridFunction(grid=g, values=vals))
-        xc, yc = g.node_coordinates()
-        sine = np.sin(np.pi * (xc - g.x0) / (g.x1 - g.x0)) * np.sin(
-            np.pi * (yc - g.y0) / (g.y1 - g.y0)
-        )
-    sine = sine.copy()
+    for q in (1, 2, 3, 4, 5):
+        vals = np.zeros(g.node_shape)
+        vals[tuple(min(max(1, round(q * a.n / 6)), a.n - 1) for a in reversed(g.axes))] = 1.0
+        out.append(GridFunction(grid=g, values=vals))
+    sine = math.prod(
+        np.sin(np.pi * (c - a.lo) / (a.hi - a.lo))
+        for a, c in zip(g.axes, g.node_coordinates())
+    )
     sine[g.boundary_mask()] = 0.0  # sin(pi) is only zero up to roundoff
     out.append(GridFunction(grid=g, values=sine))
     if np.any(v1.values):  # f = 0 gives v1 = 0, which tests nothing
@@ -258,8 +245,6 @@ def flat_zone(
         measure=measure_above(v, prof.K.value),
         mean_gap=gap,
         zone_mask=GridFunction(grid=v.grid, values=mask.astype(float)),
-        v=v,
-        u=u,
         sigma=prof.sigma,
         K_value=prof.K.value,
         n_large=n_large,

@@ -387,13 +387,13 @@ def q_partial_inverse(
     SIAM 2003).  The start is the cap min_m (y/b_m)^(1/m) over m = 1, the
     powers of two and n: each positive term gives Q_n >= b_m t^m.  Only
     nodes that have not stopped are re-evaluated.  The one stop rule is
-    that Q_n is finite and |Q_n - y| <= max(tol * max(1, y), n eps Q_n).
-    Its second term bounds the rounding of Horner's rule over n nonnegative
-    terms (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1),
-    below which float64 cannot place the root.  An iterate whose Q_n
-    overflows never stops and ends in NoConvergence.  DomainError is raised
-    when a boundary term over- or underflows (see _finite_terms) or the
-    start cap in t is not finite.
+    that |Q_n - y| <= max(tol * max(1, y), n eps Q_n).  Its second term
+    bounds the rounding of Horner's rule over n nonnegative terms (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 5.1), below which
+    float64 cannot place the root.  DomainError is raised when a boundary
+    term over- or underflows (see _finite_terms), the start cap in t is not
+    finite, or Q_n or Q_n' overflows at an iterate, from which no finite
+    Newton step leads.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -425,13 +425,13 @@ def q_partial_inverse(
         x = t[active]
         with np.errstate(over="ignore", invalid="ignore"):
             q, dq = _horner_with_derivative(terms, x)
+            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dq))):
+                raise DomainError(f"Q_{n} of {seq.label} overflows float64 above its root")
             f = q - y_arr[active]
             # a node that stops still takes the Newton step already
             # computed, which squares its error at no extra cost
             t[active] = x - f / dq
-            stop = np.isfinite(q) & (
-                np.abs(f) <= np.maximum(target[active], rounding * q)
-            )
+            stop = np.abs(f) <= np.maximum(target[active], rounding * q)
         active = active[~stop]
     if active.size:
         raise NoConvergence(

@@ -28,6 +28,7 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import porolab.cli  # noqa: E402
+from porolab.pipeline import ZONE_OK, solve_unit_load  # noqa: E402
 
 NEAR_THRESHOLD = 1e-10
 DATUM = "datum-line16.csv"
@@ -136,11 +137,12 @@ def run_command(command: str, config: Path, extra: list[str], out_dir: Path) -> 
     }
 
 
-def near_threshold_nodes(result) -> list[int]:
+def near_threshold_nodes(problem, tols, result) -> list[int]:
     """Flat indices where v = lambda * v1 lies within 1e-10 K of K."""
-    if result.v is None:
+    if result.status != ZONE_OK:
         return []
-    gap = np.abs(result.v.values.ravel() - result.K_value)
+    v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
+    gap = np.abs(v.values.ravel() - result.K_value)
     return [int(i) for i in np.flatnonzero(gap <= NEAR_THRESHOLD * result.K_value)]
 
 
@@ -149,9 +151,10 @@ def main() -> None:
     zones = []
     original = porolab.cli.flat_zone
 
-    def recording(*args, **kwargs):
-        zones.append(original(*args, **kwargs))
-        return zones[-1]
+    def recording(seq, problem, n_large, tols):
+        result = original(seq, problem, n_large, tols)
+        zones.append(near_threshold_nodes(problem, tols, result))
+        return result
 
     porolab.cli.flat_zone = recording
     try:
@@ -164,7 +167,7 @@ def main() -> None:
                     expected[command] = run_command(
                         command, config, extras.get(command, []), Path(tmp)
                     )
-            expected["flatzone"]["near_threshold"] = near_threshold_nodes(zones[-1])
+            expected["flatzone"]["near_threshold"] = zones[-1]
             (HERE / f"{name}.expected.json").write_text(json.dumps(expected, indent=1) + "\n")
             print(f"wrote {name}: exit codes {[expected[c]['exit'] for c in OUTPUTS]}")
     finally:

@@ -75,7 +75,7 @@ def test_criterion_01_linear_solver_oracle():
     op = assemble_operator(p.grid, p.field)
     v = solve_linear(op, p.f, tol=1e-12)
     elapsed = time.perf_counter() - t0
-    err = float(np.max(np.abs(v.values - p.grid.xs * (1 - p.grid.xs))))
+    err = float(np.max(np.abs(v.values - p.grid.axes[0].nodes * (1 - p.grid.axes[0].nodes))))
     _check(
         1,
         "linear solver oracle",
@@ -88,7 +88,7 @@ def test_criterion_02_eigenvalue_oracle():
     t0 = time.perf_counter()
     p1 = _constant_problem(1.0, n=128)
     pair1 = principal_eigenpair(assemble_operator(p1.grid, p1.field), p1.f, tol=1e-10)
-    h1 = p1.grid.hx
+    h1 = p1.grid.axes[0].h
     discrete1 = 2.0 * (1.0 - math.cos(math.pi * h1)) / h1**2
     rel_pi = abs(pair1.lambda1 - math.pi**2) / math.pi**2
     rel_disc = abs(pair1.lambda1 - discrete1) / discrete1
@@ -171,7 +171,7 @@ def test_criterion_05_threshold_bracket():
 
 def test_criterion_06_constructive_scheme(harmonic_run):
     p = _constant_problem(2.0)
-    x = p.grid.xs
+    x = p.grid.axes[0].nodes
     exact = -np.expm1(-x * (1 - x))
     err = float(np.max(np.abs(harmonic_run.converged_u.values - exact)))
     sups = [s for _, s in harmonic_run.sup_history]

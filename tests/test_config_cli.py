@@ -10,7 +10,7 @@ import pytest
 
 from porolab.cli import entry
 from porolab.config import load_config
-from porolab.elliptic import build_grid, write_gridfunction_csv, GridFunction
+from porolab.elliptic import Axis, GridFunction, build_grid, write_gridfunction_csv
 from porolab.errors import ConfigError
 
 MINIMAL = """
@@ -71,7 +71,7 @@ def _write(tmp_path, text, name="exp.ini"):
 def test_minimal_config_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.problem.grid.dim == 1
-    assert cfg.problem.grid.nx == 128
+    assert cfg.problem.grid.axes[0].n == 128
     assert cfg.sequence.label == "log"
     assert cfg.problem.lambda_scale == 1.0
     assert cfg.stop_tol == 1e-8
@@ -84,10 +84,10 @@ def test_full_config_values(tmp_path):
     cfg = load_config(_write(tmp_path, FULL))
     g = cfg.problem.grid
     assert g.dim == 2
-    assert (g.x0, g.x1, g.y0, g.y1) == (0.0, 2.0, -1.0, 1.0)
-    assert (g.nx, g.ny) == (16, 12)
-    np.testing.assert_allclose(cfg.problem.field.ax, 1.5 + 0.25 * g.xs, rtol=1e-15)
-    np.testing.assert_allclose(cfg.problem.field.ay, 1.5 + 0.5 * g.ys, rtol=1e-15)
+    assert g.axes == (Axis(0.0, 2.0, 16), Axis(-1.0, 1.0, 12))
+    ax, ay = cfg.problem.field.profiles
+    np.testing.assert_allclose(ax, 1.5 + 0.25 * g.axes[0].nodes, rtol=1e-15)
+    np.testing.assert_allclose(ay, 1.5 + 0.5 * g.axes[1].nodes, rtol=1e-15)
     assert cfg.problem.f.values.max() == pytest.approx(2.0, rel=1e-12)  # bump peak
     assert cfg.problem.lambda_scale == 4.0
     assert cfg.sequence.rate == 0.5
@@ -110,8 +110,8 @@ def test_config_builds_runtime_objects(tmp_path):
     assert p.grid.dim == 2
     assert p.lambda_scale == 4.0
     # bump datum peaks at the configured center with the configured amplitude
-    j = np.argmin(np.abs(p.grid.ys - 0.0))
-    i = np.argmin(np.abs(p.grid.xs - 1.0))
+    j = np.argmin(np.abs(p.grid.axes[1].nodes - 0.0))
+    i = np.argmin(np.abs(p.grid.axes[0].nodes - 1.0))
     assert p.f.values[j, i] == pytest.approx(2.0, rel=1e-12)
     seq = cfg.sequence
     assert (seq.label, seq.rule) == ("geometric(ratio=0.5)", "ratio")
@@ -121,7 +121,7 @@ def test_bump_profile_formula(tmp_path):
     text = MINIMAL + "\n[data]\nkind = bump\ncenter_x = 0.5\nwidth = 0.2\namplitude = 3.0\n"
     cfg = load_config(_write(tmp_path, text))
     f = cfg.problem.f
-    xs = cfg.problem.grid.xs
+    xs = cfg.problem.grid.axes[0].nodes
     expect = 3.0 * np.exp(-((xs - 0.5) ** 2) / (2 * 0.2**2))
     np.testing.assert_allclose(f.values, expect, rtol=1e-12)
 

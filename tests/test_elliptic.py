@@ -1,5 +1,6 @@
 """Grids, coefficient fields, operator assembly, linear solves, norms, CSV."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porolab.analysis import half_resolution
 from porolab.elliptic import (
+    Axis,
     CoefficientField,
     EllipticProblem,
+    Grid,
     GridFunction,
     assemble_operator,
     build_grid,
@@ -33,6 +37,7 @@ from porolab.errors import (
     InvalidWeight,
     NoConvergence,
 )
+from porolab.pipeline import solve_unit_load
 
 TOL = 1e-12
 
@@ -44,18 +49,20 @@ TOL = 1e-12
 
 def test_grid_1d_geometry():
     g = build_grid(1, (0.0, 1.0), 8)
-    assert g.hx == pytest.approx(0.125)
+    assert g.axes[0].h == pytest.approx(0.125)
     assert g.cell_volume == pytest.approx(0.125)
     assert g.node_shape == (9,)
     assert g.n_interior == 7
-    np.testing.assert_allclose(g.xs, np.linspace(0, 1, 9))
+    np.testing.assert_allclose(g.axes[0].nodes, np.linspace(0, 1, 9))
     assert g.boundary_mask().sum() == 2
+    # a grid is its axes: equal axes give equal grids
+    assert g == Grid((Axis(0.0, 1.0, 8),))
 
 
 def test_grid_2d_geometry():
     g = build_grid(2, (0.0, 2.0), 8, y_extent=(0.0, 1.0), n_cells_y=4)
-    assert g.hx == pytest.approx(0.25)
-    assert g.hy == pytest.approx(0.25)
+    assert g.axes[0].h == pytest.approx(0.25)
+    assert g.axes[1].h == pytest.approx(0.25)
     assert g.cell_volume == pytest.approx(0.0625)
     assert g.node_shape == (5, 9)
     assert g.n_interior == 3 * 7
@@ -88,14 +95,14 @@ def test_constant_field_window():
 def test_ramp_field_values():
     g = build_grid(1, n_cells=4)
     fld = ramp_field(g, base=1.0, slope_x=2.0)
-    np.testing.assert_allclose(fld.ax, 1.0 + 2.0 * g.xs)
-    assert fld.ay is None
+    np.testing.assert_allclose(fld.profiles[0], 1.0 + 2.0 * g.axes[0].nodes)
+    assert len(fld.profiles) == 1
     assert fld.alpha == pytest.approx(1.0)
     assert fld.beta == pytest.approx(3.0)
     g2 = build_grid(2, n_cells=4, y_extent=(-1.0, 1.0), n_cells_y=6)
     fld2 = ramp_field(g2, base=2.0, slope_x=0.5, slope_y=-0.25)
-    np.testing.assert_allclose(fld2.ax, 2.0 + 0.5 * g2.xs)
-    np.testing.assert_allclose(fld2.ay, 2.0 - 0.25 * g2.ys)
+    np.testing.assert_allclose(fld2.profiles[0], 2.0 + 0.5 * g2.axes[0].nodes)
+    np.testing.assert_allclose(fld2.profiles[1], 2.0 - 0.25 * g2.axes[1].nodes)
 
 
 def test_field_rejects_nonpositive_coefficient():
@@ -108,31 +115,31 @@ def test_field_rejects_nonpositive_coefficient():
 
 def test_field_rejects_values_outside_declared_window():
     g = build_grid(1, n_cells=8)
-    a = np.full(g.nx + 1, 5.0)
+    a = np.full(9, 5.0)
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g, ax=a, alpha=1.0, beta=2.0)
+        CoefficientField(grid=g, profiles=(a,), alpha=1.0, beta=2.0)
     # NaN compares false against both window ends
-    a = np.full(g.nx + 1, 1.5)
+    a = np.full(9, 1.5)
     a[3] = np.nan
     with pytest.raises(EllipticityError, match="not finite"):
-        CoefficientField(grid=g, ax=a, alpha=1.0, beta=2.0)
+        CoefficientField(grid=g, profiles=(a,), alpha=1.0, beta=2.0)
     with pytest.raises(EllipticityError, match="not finite"):
-        CoefficientField(grid=g, ax=np.full(g.nx + 1, np.inf))
+        CoefficientField(grid=g, profiles=(np.full(9, np.inf),))
 
 
 def test_field_rejects_shape_mismatch():
     g = build_grid(1, n_cells=8)
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g, ax=np.ones(4))
+        CoefficientField(grid=g, profiles=(np.ones(4),))
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g, ax=np.ones(g.node_shape), ay=np.ones(g.node_shape))
+        CoefficientField(grid=g, profiles=(np.ones(g.node_shape), np.ones(g.node_shape)))
     g2 = build_grid(2, n_cells=8, n_cells_y=6)
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g2, ax=np.ones(9))
+        CoefficientField(grid=g2, profiles=(np.ones(9),))
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g2, ax=np.ones(9), ay=np.ones(9))
+        CoefficientField(grid=g2, profiles=(np.ones(9), np.ones(9)))
     with pytest.raises(EllipticityError):
-        CoefficientField(grid=g2, ax=np.ones(g2.node_shape), ay=np.ones(7))
+        CoefficientField(grid=g2, profiles=(np.ones(g2.node_shape), np.ones(7)))
 
 
 def test_field_profiles_are_private_and_read_only():
@@ -141,11 +148,11 @@ def test_field_profiles_are_private_and_read_only():
     g = build_grid(1, n_cells=8)
     fld = constant_field(g, 1.0)
     with pytest.raises(ValueError):
-        fld.ax[3] = 50.0
-    a = np.ones(g.nx + 1)
-    fld = CoefficientField(grid=g, ax=a)
+        fld.profiles[0][3] = 50.0
+    a = np.ones(9)
+    fld = CoefficientField(grid=g, profiles=(a,))
     a[3] = 50.0
-    assert fld.ax[3] == 1.0 and fld.beta == 1.0
+    assert fld.profiles[0][3] == 1.0 and fld.beta == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +211,10 @@ def test_assembly_2d_is_kronecker_sum_of_1d(profiles):
     # profiles: the structure a fast-diagonalization solve relies on
     nx, ny, ax, ay = profiles
     g = build_grid(2, (0.0, 2.0), nx, y_extent=(-1.0, 0.5), n_cells_y=ny)
-    A = assemble_operator(g, CoefficientField(grid=g, ax=ax, ay=ay)).matrix
+    A = assemble_operator(g, CoefficientField(grid=g, profiles=(ax, ay))).matrix
     gx, gy = build_grid(1, (0.0, 2.0), nx), build_grid(1, (-1.0, 0.5), ny)
-    T_x = assemble_operator(gx, CoefficientField(grid=gx, ax=ax)).matrix
-    T_y = assemble_operator(gy, CoefficientField(grid=gy, ax=ay)).matrix
+    T_x = assemble_operator(gx, CoefficientField(grid=gx, profiles=(ax,))).matrix
+    T_y = assemble_operator(gy, CoefficientField(grid=gy, profiles=(ay,))).matrix
     K = sp.kron(sp.identity(ny - 1), T_x) + sp.kron(T_y, sp.identity(nx - 1))
     dense = A.toarray()
     scale = np.max(np.abs(dense))
@@ -221,16 +228,15 @@ def test_operator_energy_two_routes_agree():
     rng = np.random.default_rng(42)
     for dim in (1, 2):
         g = build_grid(dim, n_cells=16, n_cells_y=11 if dim == 2 else None)
-        ax = rng.uniform(0.5, 2.0, g.nx + 1)
-        ay = rng.uniform(0.5, 2.0, g.ny + 1) if dim == 2 else None
-        op = assemble_operator(g, CoefficientField(grid=g, ax=ax, ay=ay))
+        ax, *ay = (rng.uniform(0.5, 2.0, a.n + 1) for a in g.axes)
+        op = assemble_operator(g, CoefficientField(grid=g, profiles=(ax, *ay)))
         u = GridFunction.from_interior(g, rng.uniform(-1, 1, g.n_interior))
         quad = float(u.interior() @ (op.matrix @ u.interior())) * g.cell_volume
-        dx = np.diff(u.values, axis=-1) / g.hx
+        dx = np.diff(u.values, axis=-1) / g.axes[0].h
         face = np.sum(0.5 * (ax[:-1] + ax[1:]) * dx * dx)
         if dim == 2:
-            dy = np.diff(u.values, axis=0) / g.hy
-            face += np.sum(0.5 * (ay[:-1] + ay[1:])[:, None] * dy * dy)
+            dy = np.diff(u.values, axis=0) / g.axes[1].h
+            face += np.sum(0.5 * (ay[0][:-1] + ay[0][1:])[:, None] * dy * dy)
         assert quad == pytest.approx(face * g.cell_volume, rel=1e-12)
 
 
@@ -243,13 +249,13 @@ def _poisson_1d(n, f_values, a_value=1.0):
     g = build_grid(1, n_cells=n)
     fld = constant_field(g, a_value)
     op = assemble_operator(g, fld)
-    f = GridFunction(grid=g, values=f_values(g.xs))
+    f = GridFunction(grid=g, values=f_values(g.axes[0].nodes))
     return g, solve_linear(op, f, tol=TOL)
 
 
 def test_solve_constant_load_is_stencil_exact():
     g, v = _poisson_1d(128, lambda x: np.full_like(x, 2.0))
-    exact = g.xs * (1.0 - g.xs)
+    exact = g.axes[0].nodes * (1.0 - g.axes[0].nodes)
     assert np.max(np.abs(v.values - exact)) <= 1e-10
 
 
@@ -257,7 +263,7 @@ def test_solve_sine_load_second_order():
     errs = []
     for n in (16, 32, 64):
         g, v = _poisson_1d(n, lambda x: np.pi**2 * np.sin(np.pi * x))
-        errs.append(np.max(np.abs(v.values - np.sin(np.pi * g.xs))))
+        errs.append(np.max(np.abs(v.values - np.sin(np.pi * g.axes[0].nodes))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
@@ -268,7 +274,7 @@ def test_solve_variable_coefficient_second_order():
     for n in (32, 64, 128):
         g = build_grid(1, n_cells=n)
         op = assemble_operator(g, ramp_field(g, base=1.0, slope_x=1.0))
-        x = g.xs
+        x = g.axes[0].nodes
         f = GridFunction(
             grid=g,
             values=-np.pi * np.cos(np.pi * x) + (1 + x) * np.pi**2 * np.sin(np.pi * x),
@@ -394,7 +400,7 @@ def test_problem_rhs_scales_data():
 
 def test_h1_seminorm_of_identity_map():
     g = build_grid(1, n_cells=16)
-    u = GridFunction(grid=g, values=g.xs.copy())
+    u = GridFunction(grid=g, values=g.axes[0].nodes.copy())
     assert h1_seminorm(u) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -407,7 +413,7 @@ def test_l2_norm_of_constant():
 
 def test_measure_above_counts_cells():
     g = build_grid(1, n_cells=8)
-    u = GridFunction(grid=g, values=g.xs.copy())
+    u = GridFunction(grid=g, values=g.axes[0].nodes.copy())
     assert measure_above(u, 0.5) == pytest.approx(5 * 0.125)
     assert measure_above(u, 2.0) == 0.0
 
@@ -437,7 +443,7 @@ def test_interior_order_is_row_major():
 
 def test_csv_round_trip_1d(tmp_path):
     g = build_grid(1, n_cells=8)
-    u = GridFunction(grid=g, values=np.sin(g.xs) + 1 / 3)
+    u = GridFunction(grid=g, values=np.sin(g.axes[0].nodes) + 1 / 3)
     path = tmp_path / "u.csv"
     write_gridfunction_csv(u, str(path), comment="round trip")
     text = path.read_text()
@@ -483,3 +489,90 @@ def test_csv_to_string_precision():
     u = GridFunction(grid=g, values=np.full(g.node_shape, 1 / 3))
     text = gridfunction_to_csv(u)
     assert "3.3333333333333331e-01" in text
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_assembly_and_csv_are_bitwise_fixed():
+    # the golden suite compares values to 1e-11; these fingerprints pin the
+    # CSR arrays and the CSV text bit for bit
+    g1 = build_grid(1, (0.0, 1.0), 32)
+    g2 = build_grid(2, (0.0, 2.0), 16, (-1.0, 1.0), 12)
+    for g, ramp, want in (
+        (
+            g1,
+            dict(base=1.0, slope_x=0.5),
+            "fcddd1395f559946942f1c6de51f4fb79d4bfbb267c4650151ae83e56ffa521c",
+        ),
+        (
+            g2,
+            dict(base=1.5, slope_x=0.25, slope_y=0.5),
+            "0f0a6cf02a5fd907a1e2d149e3853b7efeaf85f0d7d8858cddacb8934c30aa0d",
+        ),
+    ):
+        m = assemble_operator(g, ramp_field(g, **ramp)).matrix
+        got = _sha256(
+            m.data.astype("<f8"), m.indices.astype("<i8"), m.indptr.astype("<i8")
+        )
+        assert got == want, g
+    for g, want in (
+        (g1, "5f7199a3fa2d9a5209c24a8408718e9b1a7b240681a528ffc864ebb52d1779e3"),
+        (g2, "8d08fe8cea856aef5331861376269ed8249c1abdcf8076b7383a9933e44d028f"),
+    ):
+        vals = (np.arange(g.n_nodes) / 7.0 - 2.0).reshape(g.node_shape)
+        text = gridfunction_to_csv(GridFunction(grid=g, values=vals), comment="fixed")
+        assert hashlib.sha256(text.encode()).hexdigest() == want, g
+
+
+# ---------------------------------------------------------------------------
+# drawn grids
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _drawn_problems(draw):
+    """Problem on a drawn 1D or 2D grid: 4-12 cells and a random extent per
+    axis, a positive linear profile per axis, nonnegative nodal data."""
+    axes, profiles = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(st.floats(-5.0, 5.0))
+        axis = Axis(lo, lo + draw(st.floats(0.25, 4.0)), draw(st.integers(4, 12)))
+        a_lo, a_hi = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+        axes.append(axis)
+        profiles.append(a_lo + (a_hi - a_lo) * np.linspace(0.0, 1.0, axis.n + 1))
+    g = Grid(tuple(axes))
+    f = draw(st.lists(st.floats(0.0, 10.0), min_size=g.n_nodes, max_size=g.n_nodes))
+    return EllipticProblem(
+        grid=g,
+        field=CoefficientField(g, tuple(profiles)),
+        f=GridFunction(grid=g, values=np.array(f)),
+    )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(problem=_drawn_problems())
+def test_drawn_grids(problem, tmp_path_factory):
+    g = problem.grid
+    # the CSV round trip is bitwise
+    path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+    write_gridfunction_csv(problem.f, path)
+    assert read_gridfunction_csv(path, g).values.tobytes() == problem.f.values.tobytes()
+    # maximum principle, and the Dirichlet rim is exactly zero
+    v1 = solve_unit_load(problem)[1]
+    assert np.all(v1.values >= 0.0)
+    assert np.all(v1.boundary_values() == 0.0)
+    # half resolution keeps every other node of the data and of each profile
+    half = half_resolution(problem)
+    if any(a.n % 2 or a.n < 8 for a in g.axes):
+        assert half is None
+        return
+    every_other = (slice(None, None, 2),) * g.dim
+    assert half.grid.axes == tuple(Axis(a.lo, a.hi, a.n // 2) for a in g.axes)
+    assert half.f.values.tobytes() == problem.f.values[every_other].tobytes()
+    for got, full in zip(half.field.profiles, problem.field.profiles):
+        assert got.tobytes() == full[::2].tobytes()

@@ -126,3 +126,23 @@ def test_private_series_names_stay_in_series():
                 names = []
             reads += [(path.name, name) for name in names if name in private]
     assert reads == []
+
+
+_PER_AXIS_NAMES = {"nx", "ny", "hx", "hy", "x0", "x1", "y0", "y1", "xs", "ys", "ax", "ay"}
+
+
+def test_consumers_loop_over_grid_axes():
+    # a grid is a tuple of axes: the modules above elliptic reach an axis
+    # only through Grid.axes, and none of them branches on the dimension
+    src = Path(porolab.__file__).parent
+    found = []
+    for name in ("pipeline.py", "analysis.py", "spectral.py", "cli.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in _PER_AXIS_NAMES:
+                found.append((name, node.lineno, node.attr))
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "dim"
+                for side in (node.left, *node.comparators)
+            ):
+                found.append((name, node.lineno, "dim compared"))
+    assert found == []

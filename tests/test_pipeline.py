@@ -51,7 +51,7 @@ def _aux(problem, tols=Tolerances()):
 def test_auxiliary_solution_constant_load():
     p = _problem(f_value=2.0)
     v = _aux(p)
-    exact = p.grid.xs * (1 - p.grid.xs)
+    exact = p.grid.axes[0].nodes * (1 - p.grid.axes[0].nodes)
     assert np.max(np.abs(v.values - exact)) <= 1e-10
 
 
@@ -84,7 +84,7 @@ def test_second_order_approximation_midpoint_oracle():
     # v(1/2) = 1/4 and s + s^2/2 = 1/4 has root sqrt(1.5) - 1
     p = _problem()
     u2 = approximate_solution(log_kind(), _aux(p), 2)
-    mid = p.grid.nx // 2
+    mid = p.grid.axes[0].n // 2
     assert u2.values[mid] == pytest.approx(math.sqrt(1.5) - 1.0, rel=1e-9)
 
 
@@ -239,7 +239,7 @@ def test_converge_harmonic_limit_oracle():
     p = _problem(f_value=2.0)
     run = converge(harmonic(), p, [1, 2, 4, 8, 16, 32, 64], stop_tol=1e-8)
     assert run.converged
-    x = p.grid.xs
+    x = p.grid.axes[0].nodes
     exact = -np.expm1(-x * (1 - x))
     assert np.max(np.abs(run.converged_u.values - exact)) <= 1e-6
 
@@ -297,7 +297,7 @@ def test_flat_zone_width_oracle():
     p = _problem(f_value=32.0)
     fz = flat_zone(log_kind(), p, n_large=1000)
     assert fz.status == ZONE_OK
-    assert abs(fz.measure - math.sqrt(2) / 2) <= 2 * p.grid.hx
+    assert abs(fz.measure - math.sqrt(2) / 2) <= 2 * p.grid.axes[0].h
     assert fz.mean_gap <= 0.01
     assert fz.sigma == 1.0
     assert fz.K_value == pytest.approx(2.0, abs=1e-8)

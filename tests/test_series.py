@@ -359,6 +359,15 @@ def test_q_partial_inverse_rejects_overflowing_coefficients():
         q_partial_inverse(custom([0.001, 0.001, 547]), 1, 3.29e299)
 
 
+@pytest.mark.parametrize("seq", [power_law(3.0), geometric(0.5)], ids=["power-law", "geometric"])
+@pytest.mark.parametrize("n", [254, 255, 512])
+def test_q_partial_inverse_raises_when_q_overflows_above_the_root(seq, n):
+    # the start cap is finite in t, but Q_n overflows there, and no finite
+    # Newton step leads down from an infinite Q_n
+    with pytest.raises(DomainError, match="overflows float64 above its root"):
+        q_partial_inverse(seq, n, 1.7e308)
+
+
 def test_underflowing_boundary_terms_are_domain_errors():
     # sigma = 1e-40: b_8 = 1e-320 is subnormal and b_9 = b_10 = 0, though
     # every raw a_m up to m = 16 is a normal number; Q_10(1) is 1e40 + 9

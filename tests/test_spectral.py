@@ -34,7 +34,7 @@ def _rayleigh(op, f, w):
 def test_eigenvalue_1d_matches_discrete_closed_form():
     g, op, f = _laplace_setup(1, 128)
     pair = principal_eigenpair(op, f, tol=1e-10)
-    h = g.hx
+    h = g.axes[0].h
     discrete = 2.0 * (1.0 - math.cos(math.pi * h)) / h**2
     assert pair.lambda1 == pytest.approx(discrete, rel=5e-4)
     assert pair.lambda1 == pytest.approx(math.pi**2, rel=5e-3)
@@ -43,7 +43,7 @@ def test_eigenvalue_1d_matches_discrete_closed_form():
 def test_eigenvalue_2d_matches_discrete_closed_form():
     g, op, f = _laplace_setup(2, 64)
     pair = principal_eigenpair(op, f, tol=1e-10)
-    h = g.hx
+    h = g.axes[0].h
     discrete = 4.0 * (1.0 - math.cos(math.pi * h)) / h**2
     assert pair.lambda1 == pytest.approx(discrete, rel=1e-6)
     assert pair.lambda1 == pytest.approx(2.0 * math.pi**2, rel=1e-2)
@@ -62,8 +62,8 @@ def test_eigenfunction_positive_and_normalized():
 def test_eigenfunction_shape_is_the_sine_mode():
     g, op, f = _laplace_setup(1, 64)
     pair = principal_eigenpair(op, f, tol=1e-12)
-    mode = np.sin(np.pi * g.xs)
-    mode /= math.sqrt(np.sum(mode[1:-1] ** 2) * g.hx)
+    mode = np.sin(np.pi * g.axes[0].nodes)
+    mode /= math.sqrt(np.sum(mode[1:-1] ** 2) * g.axes[0].h)
     assert np.max(np.abs(pair.phi1.values - mode)) <= 1e-6
 
 
@@ -81,8 +81,8 @@ def test_residual_and_rayleigh_are_consistent():
 def test_rayleigh_quotient_matches_sine_example():
     # w = sin(pi x) gives energy/mass == the discrete eigenvalue exactly
     g, op, f = _laplace_setup(1, 32)
-    w = GridFunction(grid=g, values=np.sin(np.pi * g.xs))
-    h = g.hx
+    w = GridFunction(grid=g, values=np.sin(np.pi * g.axes[0].nodes))
+    h = g.axes[0].h
     discrete = 2.0 * (1.0 - math.cos(math.pi * h)) / h**2
     assert _rayleigh(op, f, w) == pytest.approx(discrete, rel=1e-12)
 
@@ -126,7 +126,7 @@ def test_weight_with_zeros_is_allowed():
     g = build_grid(1, n_cells=64)
     op = assemble_operator(g, constant_field(g))
     vals = np.zeros(g.node_shape)
-    vals[g.nx // 2] = 1.0  # point mass in the middle
+    vals[g.axes[0].n // 2] = 1.0  # point mass in the middle
     pair = principal_eigenpair(op, GridFunction(grid=g, values=vals), tol=1e-10)
     assert pair.lambda1 > 0
     assert np.all(pair.phi1.interior() >= 0)
