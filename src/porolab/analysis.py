@@ -46,7 +46,6 @@ class DiagnosisReport:
 
     series_profile: SeriesProfile
     verdict: str
-    lambda_scale: float
     grid_n: int
     tolerances: Tolerances
     sup_v1: float | None = None
@@ -115,7 +114,6 @@ def diagnose(
     lam = problem.lambda_scale
     base = dict(
         series_profile=prof,
-        lambda_scale=lam,
         grid_n=problem.grid.axes[0].n,
         tolerances=tols,
     )

@@ -30,32 +30,6 @@ from .errors import ConfigError
 from .params import Tolerances
 from .series import TAILS, CoefficientSequence, make_sequence
 
-_KNOWN_KEYS = {
-    "domain": {"dim", "x0", "x1", "y0", "y1", "n_cells", "n_cells_y"},
-    "coeff": {"kind", "value", "base", "slope_x", "slope_y", "alpha", "beta"},
-    "data": {
-        "kind",
-        "value",
-        "center_x",
-        "center_y",
-        "width",
-        "amplitude",
-        "path",
-        "lambda_scale",
-    },
-    "series": {"kind", "ratio", "exponent", "values", "tail", "tail_exponent", "m_max"},
-    "solver": {
-        "tol_linear",
-        "tol_eig",
-        "tol_series",
-        "tol_invert",
-        "max_linear_iter",
-        "max_eig_iter",
-        "max_invert_iter",
-    },
-    "run": {"n_schedule", "stop_tol"},
-}
-
 # keys that only some kinds of a section read, and keys that only a 2D grid
 # reads; set anywhere else they would drive nothing, so loading rejects them
 _KIND_KEYS = {
@@ -75,6 +49,23 @@ _KIND_KEYS = {
 }
 _2D_KEYS = {"domain": {"y0", "y1", "n_cells_y"}, "coeff": {"slope_y"}, "data": {"center_y"}}
 
+# keys that a section reads whatever its kind and the dim
+_COMMON_KEYS = {
+    "domain": {"dim", "x0", "x1", "n_cells"},
+    "coeff": {"kind", "alpha", "beta"},
+    "data": {"kind", "lambda_scale"},
+    "series": {"kind", "m_max"},
+    "solver": {
+        "tol_linear", "tol_eig", "tol_series", "tol_invert",
+        "max_linear_iter", "max_eig_iter", "max_invert_iter",
+    },
+    "run": {"n_schedule", "stop_tol"},
+}
+_KNOWN_KEYS = {
+    section: keys.union(*_KIND_KEYS.get(section, {}).values(), _2D_KEYS.get(section, ()))
+    for section, keys in _COMMON_KEYS.items()
+}
+
 _DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
@@ -82,7 +73,6 @@ _DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 class ExperimentConfig:
     """Validated configuration and the runtime objects built from it."""
 
-    path: str
     config_hash: str
     problem: EllipticProblem
     sequence: CoefficientSequence
@@ -189,8 +179,6 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}] in configuration")
 
     dim = _SectionReader(parser, "domain").integer("dim", default=1)
-    if dim not in (1, 2):
-        raise ConfigError("domain.dim must be 1 or 2")
     dom = _SectionReader(parser, "domain", dim)
     x0 = dom.real("x0", default=0.0)
     x1 = dom.real("x1", default=1.0)
@@ -245,8 +233,9 @@ def load_config(path: str) -> ExperimentConfig:
         if not os.path.exists(f_path):
             raise ConfigError(f"data.path does not exist: {f_path}")
         f = read_gridfunction_csv(f_path, grid)
-    lambda_scale = data.real("lambda_scale", default=1.0, positive=True)
-    problem = EllipticProblem(grid=grid, field=field, f=f, lambda_scale=lambda_scale)
+    problem = EllipticProblem(
+        grid=grid, field=field, f=f, lambda_scale=data.real("lambda_scale", default=1.0)
+    )
 
     ser = _SectionReader(parser, "series")
     series_kind = ser.kind()
@@ -267,16 +256,14 @@ def load_config(path: str) -> ExperimentConfig:
 
     sol = _SectionReader(parser, "solver")
     tols = Tolerances(
-        tol_linear=sol.real("tol_linear", default=Tolerances.tol_linear, positive=True),
-        tol_eig=sol.real("tol_eig", default=Tolerances.tol_eig, positive=True),
-        tol_series=sol.real("tol_series", default=Tolerances.tol_series, positive=True),
-        tol_invert=sol.real("tol_invert", default=Tolerances.tol_invert, positive=True),
+        tol_linear=sol.real("tol_linear", default=Tolerances.tol_linear),
+        tol_eig=sol.real("tol_eig", default=Tolerances.tol_eig),
+        tol_series=sol.real("tol_series", default=Tolerances.tol_series),
+        tol_invert=sol.real("tol_invert", default=Tolerances.tol_invert),
         m_max=m_max,
-        max_linear_iter=sol.integer("max_linear_iter", minimum=1),
-        max_eig_iter=sol.integer("max_eig_iter", default=Tolerances.max_eig_iter, minimum=1),
-        max_invert_iter=sol.integer(
-            "max_invert_iter", default=Tolerances.max_invert_iter, minimum=1
-        ),
+        max_linear_iter=sol.integer("max_linear_iter"),
+        max_eig_iter=sol.integer("max_eig_iter", default=Tolerances.max_eig_iter),
+        max_invert_iter=sol.integer("max_invert_iter", default=Tolerances.max_invert_iter),
     )
 
     run = _SectionReader(parser, "run")
@@ -288,7 +275,6 @@ def load_config(path: str) -> ExperimentConfig:
     stop_tol = run.real("stop_tol", default=1e-8, positive=True)
 
     return ExperimentConfig(
-        path=os.path.abspath(path),
         config_hash=digest,
         problem=problem,
         sequence=sequence,

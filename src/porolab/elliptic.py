@@ -58,6 +58,10 @@ class Grid:
 
     axes: tuple[Axis, ...]
 
+    def __post_init__(self):
+        if len(self.axes) not in (1, 2):
+            raise ConfigError("domain.dim must be 1 or 2")
+
     @property
     def dim(self) -> int:
         return len(self.axes)

@@ -1,11 +1,11 @@
 """Constructive approximation u_n = Q_n^{-1}(v) and its monitors.
 
-One linear solve at unit load gives v1 (``solve_unit_load``), and the
+One linear solve at unit load gives A_h and v1 (``solve_unit_load``), and the
 auxiliary solution is v = lambda * v1 by linearity; every approximation order
-n then only inverts the partial sum nodewise.  The module tracks the sup of
-each order, verifies the truncated weak formulation against a small test-
-function set that includes v1, and measures flat zones (nodes where v reaches
-the boundary sum K).  No eigensolve runs here.
+n then only inverts the partial sum nodewise.  ``converge`` keeps each order's
+sup and weak residual (against test functions that include v1) but only the
+last u; the stop rule needs just the previous one.  ``flat_zone`` measures
+the nodes where v reaches the boundary sum K.  No eigensolve runs here.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ class FlatZoneResult:
 
 @dataclass(frozen=True, eq=False)
 class ApproximationRun:
-    """Everything produced by one schedule of approximation orders."""
+    """Per-order sups and residuals of one schedule, and its last order's u."""
 
-    v: GridFunction
-    u_by_n: dict[int, GridFunction]
     sup_history: tuple[tuple[int, float], ...]
     residuals: tuple[tuple[int, float], ...]
     converged_u: GridFunction
@@ -120,26 +118,19 @@ def weak_residual(
     problem: EllipticProblem,
     u: GridFunction,
     M_terms: int,
-    test_set: list[GridFunction] | None = None,
-    tols: Tolerances = Tolerances(),
-    op: SparseOperator | None = None,
+    test_set: list[GridFunction],
+    op: SparseOperator,
 ) -> float:
     """Defect of the truncated weak identity against a set of test functions.
 
     For each phi:  | sum_{m<=M} a_m <A grad u^m, grad phi> - <lambda f, phi> |
     normalized by 1 + ||phi||_H1; returns the worst case.  The energy pairing
-    reuses the assembled operator, so at u = u_n with M = n the value
-    collapses to the linear solver defect plus inversion tolerance.  Without
-    a test set, one unit-load solve supplies the operator, v1 and
-    ``default_test_set(v1)``.
+    reuses the assembled operator ``op`` of ``solve_unit_load``, so at u = u_n
+    with M = n the value collapses to the linear solver defect plus inversion
+    tolerance.
     """
     if M_terms < 1:
         raise ValueError("M_terms must be >= 1")
-    if test_set is None:
-        op, v1 = solve_unit_load(problem, tols)
-        test_set = default_test_set(v1)
-    elif op is None:
-        op = assemble_operator(problem.grid, problem.field)
     if not test_set:
         return 0.0
     vol = problem.grid.cell_volume
@@ -191,25 +182,20 @@ def converge(
     v = v1.scaled(problem.lambda_scale)
     test_set = default_test_set(v1)
 
-    u_by_n: dict[int, GridFunction] = {}
     sup_hist = []
     res_hist = []
     prev: GridFunction | None = None
     converged = False
     for n in schedule:
         u = approximate_solution(seq, v, n, tols)
-        u_by_n[n] = u
         sup_hist.append((n, sup_norm(u)))
-        r = weak_residual(seq, problem, u, n, test_set=test_set, tols=tols, op=op)
-        res_hist.append((n, r))
+        res_hist.append((n, weak_residual(seq, problem, u, n, test_set, op)))
         if prev is not None and np.max(np.abs(u.values - prev.values)) <= stop_tol:
             converged = True
             break
         prev = u
 
     return ApproximationRun(
-        v=v,
-        u_by_n=u_by_n,
         sup_history=tuple(sup_hist),
         residuals=tuple(res_hist),
         converged_u=u,

@@ -205,15 +205,14 @@ class KStatus:
     """Outcome of the boundary-sum test.
 
     ``finite`` carries a certified value and tail bound (half-width of the
-    enclosure); ``divergent`` carries the partial sum at m_max;
-    ``inconclusive`` means no certificate fired within m_max and is reported
-    as such, never silently resolved.
+    enclosure) from the first ``cutoff`` terms; ``divergent`` carries no value;
+    ``inconclusive`` means no certificate fired within m_max (the cutoff) and
+    is reported as such, never silently resolved.
     """
 
     status: str
     value: float | None = None
     tail_bound: float | None = None
-    partial_sum: float | None = None
     cutoff: int | None = None
     detail: str = ""
 
@@ -251,14 +250,12 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
             status=STATUS_FINITE,
             value=value,
             tail_bound=16 * eps * value,
-            partial_sum=partial,
             cutoff=M,
         )
 
     if seq.rule == RULE_RATIO:
         return KStatus(
             status=STATUS_DIVERGENT,
-            partial_sum=float(np.sum(seq.boundary_terms(m_max))),
             cutoff=m_max,
             detail="geometric tail: a_m sigma^m is constant",
         )
@@ -266,7 +263,6 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
     if p >= -1.0:
         return KStatus(
             status=STATUS_DIVERGENT,
-            partial_sum=float(np.sum(seq.boundary_terms(m_max))),
             cutoff=m_max,
             detail="integral comparison: sum of m^p diverges for p >= -1",
         )
@@ -295,12 +291,10 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
                 status=STATUS_FINITE,
                 value=value,
                 tail_bound=half,
-                partial_sum=partial,
                 cutoff=M,
             )
     return KStatus(
         status=STATUS_INCONCLUSIVE,
-        partial_sum=float(np.sum(seq.boundary_terms(m_max))),
         cutoff=m_max,
         detail=f"no convergence certificate within m_max={m_max}",
     )
@@ -462,18 +456,14 @@ def q_derivative(seq: CoefficientSequence, s, n: int):
 
 @dataclass(frozen=True)
 class SeriesProfile:
-    """Radius plus boundary-sum status at the truncation used."""
+    """Radius sigma and boundary-sum status K."""
 
     sigma: float
     K: KStatus
-    m_max: int
-    tol: float
 
 
 def profile(
     seq: CoefficientSequence, m_max: int = 256, tol: float = 1e-8
 ) -> SeriesProfile:
     """The radius sigma and the boundary sum status in one shot."""
-    return SeriesProfile(
-        sigma=seq.sigma, K=boundary_sum(seq, tol, m_max), m_max=m_max, tol=tol
-    )
+    return SeriesProfile(sigma=seq.sigma, K=boundary_sum(seq, tol, m_max))

@@ -25,7 +25,13 @@ from porolab.elliptic import (
     solve_linear,
     sup_norm,
 )
-from porolab.pipeline import converge, flat_zone, weak_residual
+from porolab.pipeline import (
+    approximate_solution,
+    converge,
+    flat_zone,
+    solve_unit_load,
+    weak_residual,
+)
 from porolab.series import (
     custom,
     harmonic,
@@ -62,11 +68,23 @@ def harmonic_run():
     )
 
 
+def _aux(problem):
+    """v = lambda * v1 from one unit-load solve."""
+    return solve_unit_load(problem)[1].scaled(problem.lambda_scale)
+
+
 @pytest.fixture(scope="module")
 def flat_run():
     return converge(
         log_kind(), _constant_problem(32.0), FLAT_SCHEDULE, stop_tol=1e-8
     )
+
+
+@pytest.fixture(scope="module")
+def flat_orders(flat_run):
+    """v of the flat run and u_n = Q_n^{-1}(v) at each order it executed."""
+    v = _aux(_constant_problem(32.0))
+    return v, {n: approximate_solution(log_kind(), v, n) for n in flat_run.executed}
 
 
 def test_criterion_01_linear_solver_oracle():
@@ -169,7 +187,7 @@ def test_criterion_05_threshold_bracket():
     )
 
 
-def test_criterion_06_constructive_scheme(harmonic_run):
+def test_criterion_06_constructive_scheme(harmonic_run, residual_inputs):
     p = _constant_problem(2.0)
     x = p.grid.axes[0].nodes
     exact = -np.expm1(-x * (1 - x))
@@ -178,10 +196,11 @@ def test_criterion_06_constructive_scheme(harmonic_run):
     monotone = all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
     budget = 10 * (1e-12 + 1e-8)
     residuals = []
+    u = np.clip(_aux(p).values, 0.0, None)
+    inputs = residual_inputs(p)
     for n in (2, 4, 8, 16, 32):
-        u = np.clip(harmonic_run.v.values, 0.0, None)
         u_n = GridFunction(grid=p.grid, values=q_partial_inverse(harmonic(), n, u))
-        residuals.append(weak_residual(harmonic(), p, u_n, n))
+        residuals.append(weak_residual(harmonic(), p, u_n, n, *inputs))
     worst_res = max(residuals)
     ok = err <= 1e-6 and monotone and worst_res <= budget
     _check(
@@ -193,7 +212,7 @@ def test_criterion_06_constructive_scheme(harmonic_run):
     )
 
 
-def test_criterion_07_sup_bound_and_tail_decay(harmonic_run, flat_run):
+def test_criterion_07_sup_bound_and_tail_decay(harmonic_run, flat_run, flat_orders):
     # The sup bound certifies runs that settled on a solution; the flat run
     # exhausts its schedule by design and is covered by the decay envelope.
     sigma = 1.0
@@ -205,7 +224,7 @@ def test_criterion_07_sup_bound_and_tail_decay(harmonic_run, flat_run):
     # anchored at the first order
     M = 1.2 * sigma
     ratio = sigma / M
-    rows = [(n, measure_above(flat_run.u_by_n[n], M)) for n in flat_run.executed]
+    rows = [(n, measure_above(u_n, M)) for n, u_n in flat_orders[1].items()]
     n1, m1 = rows[0]
     scale = m1 / (n1 * ratio**n1)
     decay_ok = all(m <= scale * n * ratio**n for n, m in rows[1:])
@@ -218,18 +237,19 @@ def test_criterion_07_sup_bound_and_tail_decay(harmonic_run, flat_run):
     )
 
 
-def test_criterion_08_flat_zone(flat_run):
+def test_criterion_08_flat_zone(flat_run, flat_orders):
     # 16x(1-x) = 2 has roots 1/2 -+ sqrt(2)/4, so {v >= 2} has width sqrt(2)/2
     h = 1.0 / 128
     zone = flat_zone(log_kind(), _constant_problem(32.0), flat_run.executed[-1])
     measure = zone.measure
     measure_ok = abs(measure - math.sqrt(2) / 2) <= 2 * h
-    inner = flat_run.v.values >= 2.1
+    v, u_by_n = flat_orders
+    inner = v.values >= 2.1
     mean_ok = False
     best = math.inf
-    for n in flat_run.executed:
+    for n, u_n in u_by_n.items():
         if n <= 10**4:
-            gap = float(np.mean(np.abs(flat_run.u_by_n[n].values[inner] - 1.0)))
+            gap = float(np.mean(np.abs(u_n.values[inner] - 1.0)))
             best = min(best, gap)
             if gap <= 0.01:
                 mean_ok = True

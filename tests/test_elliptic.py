@@ -81,6 +81,13 @@ def test_build_grid_rejects_bad_input():
         build_grid(2, n_cells=16, n_cells_y=3)
 
 
+@pytest.mark.parametrize("n_axes", [0, 3])
+def test_grid_rejects_unsupported_axis_count(n_axes):
+    # a field on three axes would keep two profiles and assemble a 2D stencil
+    with pytest.raises(ConfigError, match="domain.dim must be 1 or 2"):
+        Grid((Axis(0.0, 1.0, 4),) * n_axes)
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
 # ---------------------------------------------------------------------------

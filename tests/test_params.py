@@ -1,6 +1,7 @@
 """Tolerance bundle validation and the public package surface."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 import porolab
 from porolab.errors import ConfigError, PorolabError
 from porolab.params import Tolerances
+from porolab.pipeline import ApproximationRun
+from porolab.spectral import EigenPair
 
 
 def test_defaults_validate():
@@ -99,6 +102,9 @@ def test_traced_names_resolve():
     names += [(module, "cg") for module, _ in tables["CG_TARGETS"]]
     for module, attr in names:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    # the result fields that the tracer counts after a call returns
+    assert "sup_history" in {f.name for f in dataclasses.fields(ApproximationRun)}
+    assert "iterations" in {f.name for f in dataclasses.fields(EigenPair)}
 
 
 def test_private_series_names_stay_in_series():

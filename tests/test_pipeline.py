@@ -67,9 +67,9 @@ def test_auxiliary_solution_applies_lambda():
 def test_converge_v_is_lambda_times_unit_load():
     p = _problem(f_value=32.0, lambda_scale=0.7)
     _, v1 = solve_unit_load(p)
-    for schedule in ([1, 2], [1]):
-        run = converge(log_kind(), p, schedule, stop_tol=1e-8)
-        np.testing.assert_array_equal(run.v.values, v1.scaled(0.7).values)
+    run = converge(log_kind(), p, [1], stop_tol=1e-8)
+    expect = approximate_solution(log_kind(), v1.scaled(0.7), 1)
+    np.testing.assert_array_equal(run.converged_u.values, expect.values)
 
 
 def test_first_order_approximation_is_v_itself():
@@ -142,52 +142,53 @@ def test_default_test_set_skips_v1_for_zero_data():
     assert len(fns) == 6
 
 
-def test_weak_residual_small_at_matched_truncation():
+def test_weak_residual_small_at_matched_truncation(residual_inputs):
     p = _problem()
     tols = Tolerances()
     v = _aux(p, tols)
+    inputs = residual_inputs(p)
     for n in (1, 2, 8):
         u = approximate_solution(harmonic(), v, n, tols)
-        r = weak_residual(harmonic(), p, u, n, tols=tols)
-        assert r <= 1e-9
+        assert weak_residual(harmonic(), p, u, n, *inputs) <= 1e-9
 
 
-def test_weak_residual_positive_for_wrong_candidate():
+def test_weak_residual_positive_for_wrong_candidate(residual_inputs):
     p = _problem()
     zero = GridFunction.zero(p.grid)
-    assert weak_residual(harmonic(), p, zero, 4) > 0.1
+    assert weak_residual(harmonic(), p, zero, 4, *residual_inputs(p)) > 0.1
 
 
-def test_weak_residual_empty_test_set_is_zero():
+def test_weak_residual_empty_test_set_is_zero(residual_inputs):
     p = _problem()
     u = approximate_solution(harmonic(), _aux(p), 4)
-    assert weak_residual(harmonic(), p, u, 4, test_set=[]) == 0.0
+    _, op = residual_inputs(p)
+    assert weak_residual(harmonic(), p, u, 4, [], op) == 0.0
 
 
-def test_weak_residual_rejects_boundary_violations():
+def test_weak_residual_rejects_boundary_violations(residual_inputs):
     p = _problem()
     u = approximate_solution(harmonic(), _aux(p), 2)
     bad = GridFunction(grid=p.grid, values=np.ones(p.grid.node_shape))
+    _, op = residual_inputs(p)
     with pytest.raises(BoundaryViolation):
-        weak_residual(harmonic(), p, u, 2, test_set=[bad])
+        weak_residual(harmonic(), p, u, 2, [bad], op)
 
 
-def test_weak_residual_rejects_bad_truncation():
+def test_weak_residual_rejects_bad_truncation(residual_inputs):
     p = _problem()
     u = approximate_solution(harmonic(), _aux(p), 2)
     with pytest.raises(ValueError):
-        weak_residual(harmonic(), p, u, 0)
+        weak_residual(harmonic(), p, u, 0, *residual_inputs(p))
 
 
-def _weak_residual_by_powers(seq, problem, u, M_terms):
+def _weak_residual_by_powers(seq, problem, u, M_terms, test_set, op):
     """Reference: one matvec per power, sum_m a_m <A_h u^m, phi> term by term."""
-    op, v1 = solve_unit_load(problem)
     vol = problem.grid.cell_volume
     u_int = u.interior()
     rhs = problem.rhs().interior()
     coeffs = seq.coefficients(M_terms)
     worst = 0.0
-    for phi in default_test_set(v1):
+    for phi in test_set:
         phi_int = phi.interior()
         row = (op.matrix @ phi_int) * vol
         acc = 0.0
@@ -202,7 +203,7 @@ def _weak_residual_by_powers(seq, problem, u, M_terms):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_weak_residual_matches_per_power_reference(dim):
+def test_weak_residual_matches_per_power_reference(dim, residual_inputs):
     if dim == 1:
         g = build_grid(1, n_cells=24)
     else:
@@ -211,21 +212,23 @@ def test_weak_residual_matches_per_power_reference(dim):
     f = GridFunction(grid=g, values=np.full(g.node_shape, 3.0))
     p = EllipticProblem(grid=g, field=field, f=f, lambda_scale=2.0)
     v = _aux(p)
+    inputs = residual_inputs(p)
     for seq in (harmonic(), log_kind()):
         u = approximate_solution(seq, v, 8)
         for M in (1, 3, 8, 20):
-            ref = _weak_residual_by_powers(seq, p, u, M)
-            assert weak_residual(seq, p, u, M) == pytest.approx(
+            ref = _weak_residual_by_powers(seq, p, u, M, *inputs)
+            assert weak_residual(seq, p, u, M, *inputs) == pytest.approx(
                 ref, rel=1e-12, abs=1e-13
             )
 
 
-def test_weak_residual_sees_dropped_tail():
+def test_weak_residual_sees_dropped_tail(residual_inputs):
     # evaluating u_16 with only one term leaves a visible defect
     p = _problem()
     u = approximate_solution(harmonic(), _aux(p), 16)
-    matched = weak_residual(harmonic(), p, u, 16)
-    truncated = weak_residual(harmonic(), p, u, 1)
+    inputs = residual_inputs(p)
+    matched = weak_residual(harmonic(), p, u, 16, *inputs)
+    truncated = weak_residual(harmonic(), p, u, 1, *inputs)
     assert truncated > 100 * max(matched, 1e-12)
 
 
@@ -248,7 +251,6 @@ def test_converge_stops_early_once_settled():
     p = _problem()
     run = converge(harmonic(), p, [1, 2, 4, 8, 16, 32, 64], stop_tol=1e-8)
     assert run.executed[-1] < 64
-    assert set(run.u_by_n) == set(run.executed)
 
 
 def test_converge_sup_history_nonincreasing():
@@ -331,9 +333,10 @@ def test_flat_zone_not_applicable_without_finite_k():
 # ---------------------------------------------------------------------------
 
 
-def _decay_table(run, M, sigma):
+def _decay_table(seq, problem, run, M, sigma):
     """Rows (n, measure{u_n >= M}) and the envelope C n (sigma/M)^n through row one."""
-    rows = [(n, measure_above(run.u_by_n[n], M)) for n in run.executed]
+    v = _aux(problem)
+    rows = [(n, measure_above(approximate_solution(seq, v, n), M)) for n in run.executed]
     n1, m1 = rows[0]
     ratio = sigma / M
     scale = m1 / (n1 * ratio**n1)
@@ -343,7 +346,7 @@ def _decay_table(run, M, sigma):
 def test_tail_decay_flat_regime_passes():
     p = _problem(f_value=32.0)
     run = converge(log_kind(), p, [1, 2, 4, 8, 16, 32, 64], stop_tol=1e-8)
-    rows, envelope = _decay_table(run, M=1.2, sigma=1.0)
+    rows, envelope = _decay_table(log_kind(), p, run, M=1.2, sigma=1.0)
     meas = [m for _, m in rows]
     assert meas[0] > 0.8 and meas[-1] == 0.0
     assert all(m <= e for m, e in zip(meas[1:], envelope[1:]))
@@ -352,6 +355,6 @@ def test_tail_decay_flat_regime_passes():
 def test_tail_decay_trivial_when_never_exceeded():
     p = _problem(f_value=2.0)
     run = converge(harmonic(), p, [1, 2, 4], stop_tol=1e-15)
-    rows, envelope = _decay_table(run, M=1.2, sigma=1.0)
+    rows, envelope = _decay_table(harmonic(), p, run, M=1.2, sigma=1.0)
     assert all(m == 0.0 for _, m in rows)
     assert all(m <= e for (_, m), e in zip(rows[1:], envelope[1:]))

@@ -189,13 +189,13 @@ def test_boundary_sum_log_kind_telescopes_to_two():
 def test_boundary_sum_harmonic_diverges():
     st = boundary_sum(harmonic(), tol=1e-8)
     assert st.is_divergent
-    assert st.partial_sum is not None and st.cutoff is not None
+    assert st.value is None and st.cutoff == 256
 
 
 def test_boundary_sum_geometric_at_radius_diverges():
     st = boundary_sum(geometric(2.0), tol=1e-8)
     assert st.is_divergent
-    assert st.partial_sum == 256.0  # every term is 1
+    assert st.value is None and st.cutoff == 256
 
 
 def test_boundary_sum_power_law_vs_zeta_two():
@@ -262,7 +262,7 @@ def test_boundary_sum_repeat_ratio_tail_diverges(head, last):
     assert seq.sigma == last[0] / last[1]
     st_ = boundary_sum(seq, tol=1e-8)
     assert st_.is_divergent
-    assert st_.partial_sum > 0
+    assert st_.value is None and st_.cutoff == 256
 
 
 # ---------------------------------------------------------------------------
