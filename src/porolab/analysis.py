@@ -187,8 +187,8 @@ def lambda_sweep(
     diagnosis serves the whole grid.
     """
     lams = [float(x) for x in lambda_grid]
-    if any(x <= 0 for x in lams):
-        raise ValueError("lambda grid entries must be positive")
+    if not all(0 < x < math.inf for x in lams):
+        raise ValueError("lambda grid entries must be positive and finite")
     report = diagnose(seq, problem, tols)
     band = report.tolerances.classification_band
     rows = tuple(

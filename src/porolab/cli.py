@@ -138,6 +138,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    if not (math.isfinite(args.lambda_min) and math.isfinite(args.lambda_max)):
+        raise ConfigError("--lambda-min and --lambda-max must be finite")
     if args.lambda_min > args.lambda_max:
         raise ConfigError("sweep range is empty (--lambda-min above --lambda-max)")
     if args.steps < 1:

@@ -3,10 +3,11 @@
 Sections: [domain] geometry, [coeff] diffusion field, [data] the datum f and
 its load factor, [series] the coefficient sequence, [solver] tolerances and
 iteration caps, [run] the approximation schedule.  Every key is validated and
-errors name the offending section.key; a key that the chosen kind (or a 1D
-grid) does not read is an error too.  Loading builds the problem (grid,
-coefficient field, datum) and the sequence once.  The raw file bytes are
-hashed so outputs can state exactly which configuration produced them.
+errors name the offending section.key.  A section reads only the keys that its
+kind, tail and the dim use; a key that nothing read is an error, so the reads
+are the only list of keys.  Loading builds the problem (grid, coefficient
+field, datum) and the sequence once.  The raw file bytes are hashed so outputs
+can state exactly which configuration produced them.
 """
 
 from __future__ import annotations
@@ -27,44 +28,13 @@ from .elliptic import (
     read_gridfunction_csv,
 )
 from .errors import ConfigError
-from .params import Tolerances
+from .params import Tolerances, check_schedule
 from .series import TAILS, CoefficientSequence, make_sequence
 
-# keys that only some kinds of a section read, and keys that only a 2D grid
-# reads; set anywhere else they would drive nothing, so loading rejects them
-_KIND_KEYS = {
-    "coeff": {"constant": {"value"}, "linear-ramp": {"base", "slope_x", "slope_y"}},
-    "data": {
-        "constant": {"value"},
-        "bump": {"center_x", "center_y", "width", "amplitude"},
-        "file": {"path"},
-    },
-    "series": {
-        "harmonic": set(),
-        "log": set(),
-        "geometric": {"ratio"},
-        "power-law": {"exponent"},
-        "custom": {"values", "tail", "tail_exponent"},
-    },
-}
-_2D_KEYS = {"domain": {"y0", "y1", "n_cells_y"}, "coeff": {"slope_y"}, "data": {"center_y"}}
-
-# keys that a section reads whatever its kind and the dim
-_COMMON_KEYS = {
-    "domain": {"dim", "x0", "x1", "n_cells"},
-    "coeff": {"kind", "alpha", "beta"},
-    "data": {"kind", "lambda_scale"},
-    "series": {"kind", "m_max"},
-    "solver": {
-        "tol_linear", "tol_eig", "tol_series", "tol_invert",
-        "max_linear_iter", "max_eig_iter", "max_invert_iter",
-    },
-    "run": {"n_schedule", "stop_tol"},
-}
-_KNOWN_KEYS = {
-    section: keys.union(*_KIND_KEYS.get(section, {}).values(), _2D_KEYS.get(section, ()))
-    for section, keys in _COMMON_KEYS.items()
-}
+_SECTIONS = ("domain", "coeff", "data", "series", "solver", "run")
+_COEFF_KINDS = ("constant", "linear-ramp")
+_DATA_KINDS = ("constant", "bump", "file")
+_SERIES_KINDS = ("harmonic", "log", "geometric", "power-law", "custom")
 
 _DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -82,35 +52,24 @@ class ExperimentConfig:
 
 
 class _SectionReader:
-    """Typed accessors that blame section.key on any parse failure."""
+    """Typed accessors that blame section.key on any parse failure and note
+    every key they look up, so that ``unread`` can reject the rest."""
 
-    def __init__(self, parser: configparser.ConfigParser, section: str, dim=2):
+    def __init__(self, parser: configparser.ConfigParser, section: str):
         self.section = section
         self.raw = dict(parser[section]) if parser.has_section(section) else {}
-        unknown = set(self.raw) - _KNOWN_KEYS[section]
-        if unknown:
-            raise ConfigError(
-                f"unknown key {section}.{sorted(unknown)[0]} in configuration"
-            )
-        if dim == 1:
-            self.reject(_2D_KEYS.get(section, set()), "domain.dim = 1")
+        self.read: set[str] = set()
 
-    def reject(self, keys: set[str], when: str) -> None:
-        """Fail on the first of ``keys`` that is set: nothing reads it ``when``."""
-        unread = sorted(keys & set(self.raw))
-        if unread:
-            raise ConfigError(f"{self.section}.{unread[0]} is not read when {when}")
-
-    def kind(self, default=None):
-        """The section's kind; a key that only other kinds read is an error."""
-        table = _KIND_KEYS[self.section]
-        val = self.text("kind", default=default, choices=set(table))
-        if val is not None:
-            others = set().union(*table.values()) - table[val]
-            self.reject(others, f"{self.section}.kind = {val}")
-        return val
+    def unread(self, *deciding: str) -> None:
+        """Fail on the first key set in the file that nothing looked up;
+        ``deciding`` names the settings that chose which keys to read."""
+        left = sorted(set(self.raw) - self.read)
+        if left:
+            when = f" when {', '.join(deciding)}" if deciding else ""
+            raise ConfigError(f"{self.section}.{left[0]} is not read{when}")
 
     def _get(self, key, cast, default, kind):
+        self.read.add(key)
         if key not in self.raw:
             return default
         text = self.raw[key].strip()
@@ -144,6 +103,7 @@ class _SectionReader:
         return val
 
     def _list(self, key, cast, kind, default):
+        self.read.add(key)
         if key not in self.raw:
             return default
         toks = [t for t in self.raw[key].replace(",", " ").split() if t]
@@ -175,41 +135,39 @@ def load_config(path: str) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in configuration")
 
-    dim = _SectionReader(parser, "domain").integer("dim", default=1)
-    dom = _SectionReader(parser, "domain", dim)
-    x0 = dom.real("x0", default=0.0)
-    x1 = dom.real("x1", default=1.0)
-    y0 = dom.real("y0", default=x0)
-    y1 = dom.real("y1", default=x1)
+    dom = _SectionReader(parser, "domain")
+    dim = dom.integer("dim", default=1)
+    x_extent = (dom.real("x0", default=0.0), dom.real("x1", default=1.0))
+    y_axis = {}
+    if dim == 2:
+        y_axis["y_extent"] = (
+            dom.real("y0", default=x_extent[0]),
+            dom.real("y1", default=x_extent[1]),
+        )
+        y_axis["n_cells_y"] = dom.integer("n_cells_y", minimum=4)
     grid = build_grid(
-        dim,
-        x_extent=(x0, x1),
-        n_cells=dom.integer("n_cells", default=128, minimum=4),
-        y_extent=(y0, y1),
-        n_cells_y=dom.integer("n_cells_y", minimum=4),
+        dim, x_extent, dom.integer("n_cells", default=128, minimum=4), **y_axis
     )
+    dom.unread(f"domain.dim = {dim}")
 
-    coeff = _SectionReader(parser, "coeff", dim)
-    if coeff.kind(default="constant") == "constant":
+    coeff = _SectionReader(parser, "coeff")
+    c_kind = coeff.text("kind", default="constant", choices=_COEFF_KINDS)
+    if c_kind == "constant":
         ramp = {"base": coeff.real("value", default=1.0, positive=True)}
     else:
-        ramp = {
-            "base": coeff.real("base", default=1.0),
-            "slope_x": coeff.real("slope_x", default=0.0),
-            "slope_y": coeff.real("slope_y", default=0.0),
-        }
-    field = ramp_field(
-        grid,
-        **ramp,
-        alpha=coeff.real("alpha", positive=True) or 0.0,
-        beta=coeff.real("beta", positive=True) or 0.0,
-    )
+        ramp = {"base": coeff.real("base", default=1.0)}
+        for name, _ in zip("xy", grid.axes):
+            ramp[f"slope_{name}"] = coeff.real(f"slope_{name}", default=0.0)
+    alpha = coeff.real("alpha", positive=True) or 0.0
+    beta = coeff.real("beta", positive=True) or 0.0
+    coeff.unread(f"coeff.kind = {c_kind}", f"domain.dim = {dim}")
+    field = ramp_field(grid, **ramp, alpha=alpha, beta=beta)
 
-    data = _SectionReader(parser, "data", dim)
-    f_kind = data.kind(default="constant")
+    data = _SectionReader(parser, "data")
+    f_kind = data.text("kind", default="constant", choices=_DATA_KINDS)
     if f_kind == "constant":
         f_value = data.real("value", default=1.0)
         if f_value < 0:
@@ -220,9 +178,11 @@ def load_config(path: str) -> ExperimentConfig:
         amplitude = data.real("amplitude", default=1.0)
         if amplitude < 0:
             raise ConfigError("data.amplitude must be nonnegative")
-        cx = data.real("center_x", default=0.5 * (x0 + x1))
-        cy = data.real("center_y", default=0.5 * (y0 + y1))
-        r2 = sum((c - c0) ** 2 for c, c0 in zip(grid.node_coordinates(), (cx, cy)))
+        centre = [
+            data.real(f"center_{name}", default=0.5 * (a.lo + a.hi))
+            for name, a in zip("xy", grid.axes)
+        ]
+        r2 = sum((c - c0) ** 2 for c, c0 in zip(grid.node_coordinates(), centre))
         f = GridFunction(grid=grid, values=amplitude * np.exp(-r2 / (2.0 * width**2)))
     else:
         f_path = data.text("path")
@@ -233,46 +193,45 @@ def load_config(path: str) -> ExperimentConfig:
         if not os.path.exists(f_path):
             raise ConfigError(f"data.path does not exist: {f_path}")
         f = read_gridfunction_csv(f_path, grid)
-    problem = EllipticProblem(
-        grid=grid, field=field, f=f, lambda_scale=data.real("lambda_scale", default=1.0)
-    )
+    lambda_scale = data.real("lambda_scale", default=1.0)
+    data.unread(f"data.kind = {f_kind}", f"domain.dim = {dim}")
+    problem = EllipticProblem(grid=grid, field=field, f=f, lambda_scale=lambda_scale)
 
     ser = _SectionReader(parser, "series")
-    series_kind = ser.kind()
+    series_kind = ser.text("kind", choices=_SERIES_KINDS)
     if series_kind is None:
         raise ConfigError("series.kind is required")
     m_max = ser.integer("m_max", default=256, minimum=16)
-    tail = ser.text("tail", choices=set(TAILS))
-    if tail != "power-law":
-        ser.reject({"tail_exponent"}, "series.tail = repeat-ratio")
-    sequence = make_sequence(
-        series_kind,
-        ratio=ser.real("ratio"),
-        exponent=ser.real("exponent"),
-        values=ser.real_list("values"),
-        tail=tail,
-        tail_exponent=ser.real("tail_exponent"),
-    )
+    deciding = [f"series.kind = {series_kind}"]
+    params = {}
+    if series_kind == "geometric":
+        params["ratio"] = ser.real("ratio")
+    elif series_kind == "power-law":
+        params["exponent"] = ser.real("exponent")
+    elif series_kind == "custom":
+        tail = ser.text("tail", default="repeat-ratio", choices=TAILS)
+        params = {"values": ser.real_list("values"), "tail": tail}
+        if tail == "power-law":
+            params["tail_exponent"] = ser.real("tail_exponent")
+        deciding.append(f"series.tail = {tail}")
+    ser.unread(*deciding)
+    sequence = make_sequence(series_kind, **params)
 
     sol = _SectionReader(parser, "solver")
-    tols = Tolerances(
-        tol_linear=sol.real("tol_linear", default=Tolerances.tol_linear),
-        tol_eig=sol.real("tol_eig", default=Tolerances.tol_eig),
-        tol_series=sol.real("tol_series", default=Tolerances.tol_series),
-        tol_invert=sol.real("tol_invert", default=Tolerances.tol_invert),
-        m_max=m_max,
-        max_linear_iter=sol.integer("max_linear_iter"),
-        max_eig_iter=sol.integer("max_eig_iter", default=Tolerances.max_eig_iter),
-        max_invert_iter=sol.integer("max_invert_iter", default=Tolerances.max_invert_iter),
-    )
+    solver = {
+        name: sol.real(name, default=getattr(Tolerances, name))
+        for name in ("tol_linear", "tol_eig", "tol_series", "tol_invert")
+    }
+    for name in ("max_linear_iter", "max_eig_iter", "max_invert_iter"):
+        solver[name] = sol.integer(name, default=getattr(Tolerances, name))
+    sol.unread()
+    tols = Tolerances(m_max=m_max, **solver)
 
     run = _SectionReader(parser, "run")
     schedule = run.int_list("n_schedule", default=_DEFAULT_SCHEDULE)
-    if not schedule or any(n < 1 for n in schedule) or any(
-        b <= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ConfigError("run.n_schedule must be strictly increasing positive integers")
-    stop_tol = run.real("stop_tol", default=1e-8, positive=True)
+    stop_tol = run.real("stop_tol", default=1e-8)
+    run.unread()
+    check_schedule(schedule, stop_tol)
 
     return ExperimentConfig(
         config_hash=digest,

@@ -41,3 +41,13 @@ class Tolerances:
         # keeps a load factor equal to a threshold from being classified by
         # float luck.
         return 10.0 * (self.tol_linear + self.tol_eig + self.tol_series)
+
+
+def check_schedule(n_schedule, stop_tol: float) -> None:
+    """The rule for an approximation schedule and its stop tolerance."""
+    if not n_schedule or any(n < 1 for n in n_schedule) or any(
+        b <= a for a, b in zip(n_schedule, n_schedule[1:])
+    ):
+        raise ConfigError("run.n_schedule must be strictly increasing positive integers")
+    if not stop_tol > 0:
+        raise ConfigError("run.stop_tol must be positive")

@@ -27,8 +27,7 @@ from .elliptic import (
     solve_linear,
     sup_norm,
 )
-from .errors import ConfigError
-from .params import Tolerances
+from .params import Tolerances, check_schedule
 from .series import CoefficientSequence, q_partial, q_partial_inverse
 
 ZONE_OK = "OK"
@@ -169,14 +168,7 @@ def converge(
     schedule (expected where the limit touches sigma).
     """
     schedule = [int(n) for n in n_schedule]
-    if not schedule:
-        raise ConfigError("run.n_schedule must not be empty")
-    if any(n < 1 for n in schedule) or any(
-        b <= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ConfigError("run.n_schedule must be strictly increasing and positive")
-    if stop_tol <= 0:
-        raise ConfigError("run.stop_tol must be positive")
+    check_schedule(schedule, stop_tol)
 
     op, v1 = solve_unit_load(problem, tols)
     v = v1.scaled(problem.lambda_scale)

@@ -357,7 +357,7 @@ def q_partial(seq: CoefficientSequence, n: int, s):
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("s must be nonnegative")
     out = _horner(_finite_terms(seq, n), arr / seq.sigma)
     return float(out) if np.ndim(s) == 0 else out
@@ -391,10 +391,10 @@ def q_partial_inverse(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     y_arr = np.asarray(y, dtype=float).ravel()
-    if np.any(y_arr < 0):
+    if not np.all(y_arr >= 0):
         raise ValueError("y must be nonnegative")
     terms = _finite_terms(seq, n)
 
@@ -442,7 +442,7 @@ def q_derivative(seq: CoefficientSequence, s, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("s must be nonnegative")
     _, dq = _horner_with_derivative(_finite_terms(seq, n), arr / seq.sigma)
     out = dq / seq.sigma

@@ -286,6 +286,12 @@ def test_sweep_rejects_nonpositive_lambda():
         lambda_sweep(log_kind(), _unit_problem(), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_rejects_nonfinite_lambda(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        lambda_sweep(log_kind(), _unit_problem(), [1.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

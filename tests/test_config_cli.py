@@ -178,11 +178,117 @@ def test_file_datum_resolved_relative_to_config(tmp_path):
             "tail_exponent = -3\n",
             "series.tail_exponent is not",
         ),
+        (MINIMAL + "tail = power-law\n", "series.tail is not read when series.kind = log"),
+        (MINIMAL + "\n[run]\ncolor = red\n", "run.color is not read"),
+        (MINIMAL + "\n[domain]\ncolor = red\n", "domain.color is not read"),
+        (
+            MINIMAL + "\n[domain]\ndim = 2\n\n[data]\nkind = constant\ncenter_y = 0.3\n",
+            "data.center_y is not read when data.kind = constant, domain.dim = 2",
+        ),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_config(_write(tmp_path, text))
+
+
+# every key that each kind and tail reads; keys ending in _y (and y0, y1)
+# are read on a 2D grid only
+_READ_KEYS = {
+    "coeff": {
+        "constant": "value = 2",
+        "linear-ramp": "base = 1\nslope_x = 0.25\nslope_y = 0.5",
+    },
+    "data": {
+        "constant": "value = 2",
+        "bump": "center_x = 1\ncenter_y = 0\nwidth = 0.3\namplitude = 2",
+        "file": "path = f.csv",
+    },
+    "series": {
+        "harmonic": "",
+        "log": "",
+        "geometric": "ratio = 0.5",
+        "power-law": "exponent = -2",
+        "custom": "values = 1, 0.5\ntail = repeat-ratio",
+        "custom power-law": "values = 1, 0.5\ntail = power-law\ntail_exponent = -3",
+    },
+}
+_ALWAYS_READ = """
+[domain]
+dim = {dim}
+x0 = 0
+x1 = 2
+y0 = -1
+y1 = 1
+n_cells = 8
+n_cells_y = 6
+
+[coeff]
+kind = {coeff}
+{coeff_keys}
+alpha = 0.25
+beta = 4
+
+[data]
+kind = {data}
+{data_keys}
+lambda_scale = 3
+
+[series]
+kind = {series}
+{series_keys}
+m_max = 64
+
+[solver]
+tol_linear = 1e-11
+tol_eig = 1e-9
+tol_series = 1e-8
+tol_invert = 1e-12
+max_linear_iter = 500
+max_eig_iter = 400
+max_invert_iter = 100
+
+[run]
+n_schedule = 1 2 4
+stop_tol = 1e-7
+"""
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "coeff,data,series",
+    [
+        ("constant", "constant", "harmonic"),
+        ("linear-ramp", "bump", "log"),
+        ("constant", "file", "geometric"),
+        ("linear-ramp", "constant", "power-law"),
+        ("constant", "bump", "custom"),
+        ("linear-ramp", "file", "custom power-law"),
+    ],
+)
+def test_config_reads_every_key_of_its_kinds(tmp_path, dim, coeff, data, series):
+    # a key that loading uses without looking it up through the section
+    # reader would be rejected here as unread
+    grid = build_grid(dim, (0.0, 2.0), 8, (-1.0, 1.0), 6)
+    write_gridfunction_csv(GridFunction(grid, np.ones(grid.node_shape)), str(tmp_path / "f.csv"))
+    text = _ALWAYS_READ.format(
+        dim=dim,
+        coeff=coeff,
+        data=data,
+        series=series.split()[0],
+        coeff_keys=_READ_KEYS["coeff"][coeff],
+        data_keys=_READ_KEYS["data"][data],
+        series_keys=_READ_KEYS["series"][series],
+    )
+    if dim == 1:
+        text = "\n".join(
+            line for line in text.splitlines()
+            if not line.split(" = ")[0].endswith(("_y", "y0", "y1"))
+        )
+    cfg = load_config(_write(tmp_path, text))
+    assert cfg.problem.grid.dim == dim
+    assert cfg.problem.lambda_scale == 3.0
+    assert cfg.tolerances.max_invert_iter == 100 and cfg.stop_tol == 1e-7
 
 
 def test_missing_file_datum_rejected(tmp_path):
@@ -505,6 +611,19 @@ def test_cli_analyze_skips_half_resolution_when_coarse_datum_vanishes(tmp_path, 
     stdout = capsys.readouterr().out
     assert "half-resolution check:" not in stdout
     assert _json_body(out)["lambda1"] is not None
+
+
+@pytest.mark.parametrize(
+    "bounds", [["nan", "nan"], ["nan", "50"], ["1", "inf"], ["-inf", "1"]]
+)
+def test_cli_sweep_rejects_nonfinite_bounds(tmp_path, capsys, bounds):
+    cfgfile = _write(tmp_path, ANALYZE_INI)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", cfgfile, f"--lambda-min={bounds[0]}",
+            f"--lambda-max={bounds[1]}", "--steps", "3", "--out", str(out)]
+    assert entry(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

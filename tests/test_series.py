@@ -323,6 +323,20 @@ def test_q_partial_inverse_zero_and_negative():
         q_partial_inverse(seq, 5, -0.1)
 
 
+@pytest.mark.parametrize("arg", [math.nan, [1.0, math.nan]])
+def test_q_evaluators_reject_nan(arg):
+    # NaN is not nonnegative: it must fail the domain check, not pass as NaN
+    seq = log_kind()
+    with pytest.raises(ValueError, match="y must be nonnegative"):
+        q_partial_inverse(seq, 8, arg)
+    with pytest.raises(ValueError, match="s must be nonnegative"):
+        q_partial(seq, 8, arg)
+    with pytest.raises(ValueError, match="s must be nonnegative"):
+        q_derivative(seq, arg, 8)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        q_partial_inverse(seq, 8, 1.0, tol=math.nan)
+
+
 def test_q_partial_inverse_preserves_shape():
     seq = harmonic()
     y = np.linspace(0.0, 2.0, 12).reshape(3, 4)
