@@ -110,7 +110,7 @@ def diagnose(
     A datum that vanishes inside the domain gives v1 = 0: then u = 0 solves
     every load and no eigensolve runs.
     """
-    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
+    prof = series_mod.profile(seq, tols)
     lam = problem.lambda_scale
     base = dict(
         series_profile=prof,
@@ -145,14 +145,7 @@ def diagnose(
             detail="unit-load solution v1 vanishes, so u = 0 solves every load",
             **base,
         )
-    lambda1 = principal_eigenpair(
-        op,
-        problem.f,
-        tols.tol_eig,
-        inner_tol=min(tols.tol_linear, tols.tol_eig * 1e-2),
-        max_iter=tols.max_eig_iter,
-        max_linear_iter=tols.max_linear_iter,
-    ).lambda1
+    lambda1 = principal_eigenpair(op, problem.f, tols).lambda1
     lambda_exist = K / sup_v1
     lambda_nonexist = K * lambda1
     verdict = classify(lam, lambda_exist, lambda_nonexist, tols.classification_band)

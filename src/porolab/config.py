@@ -201,7 +201,7 @@ def load_config(path: str) -> ExperimentConfig:
     series_kind = ser.text("kind", choices=_SERIES_KINDS)
     if series_kind is None:
         raise ConfigError("series.kind is required")
-    m_max = ser.integer("m_max", default=256, minimum=16)
+    m_max = ser.integer("m_max", default=Tolerances.m_max)
     deciding = [f"series.kind = {series_kind}"]
     params = {}
     if series_kind == "geometric":

@@ -27,6 +27,7 @@ from .errors import (
     InvalidWeight,
     NoConvergence,
 )
+from .params import Tolerances
 
 _AXIS_NAMES = "xy"
 
@@ -295,26 +296,21 @@ def assemble_operator(grid: Grid, field: CoefficientField) -> SparseOperator:
 
 
 def solve_linear(
-    op: SparseOperator,
-    rhs: GridFunction,
-    tol: float,
-    max_iter: int | None = None,
+    op: SparseOperator, rhs: GridFunction, tols: Tolerances = Tolerances()
 ) -> GridFunction:
-    """Conjugate gradient from a zero start to relative residual <= tol.
+    """Conjugate gradient from a zero start to relative residual <= tol_linear.
 
     The answer is accepted when its componentwise (Oettli-Prager) backward
-    error max_i |b - A x|_i / (|A| |x| + |b|)_i is at most 10 * tol: x then
-    solves a system whose every entry is that close to A and b.  The relative
-    residual would not do: float64 CG stalls near eps * cond(A), which grows
-    like h^-2 (about 1.3e-11 on a 256^2 grid), while this stays near eps.
+    error max_i |b - A x|_i / (|A| |x| + |b|)_i is at most 10 * tol_linear: x
+    then solves a system whose every entry is that close to A and b.  The
+    relative residual would not do: float64 CG stalls near eps * cond(A), which
+    grows like h^-2 (about 1.3e-11 on a 256^2 grid), while this stays near eps.
     """
-    if tol <= 0:
-        raise ConfigError("solver.tol_linear must be positive")
     b = rhs.interior()
     if not np.any(b):
         return GridFunction.zero(op.grid)
     n = op.grid.n_interior
-    cap = max_iter if max_iter is not None else 10 * n
+    tol, cap = tols.tol_linear, tols.linear_cap(n)
     x, info = cg(op.matrix, b, x0=np.zeros(n), rtol=tol, atol=0.0, maxiter=cap)
     if info != 0:
         raise NoConvergence(

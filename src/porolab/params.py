@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -11,7 +12,9 @@ from .errors import ConfigError
 class Tolerances:
     """Bundle of tolerances and caps used throughout a diagnosis/run.
 
-    ``max_linear_iter = None`` means 10x the number of interior unknowns.
+    The one place that states a solver setting: every function that iterates
+    or certifies takes a ``tols`` bundle.  ``max_linear_iter = None`` means
+    10x the number of interior unknowns (``linear_cap``).
     Every value is checked once, when the bundle is built.
     """
 
@@ -26,8 +29,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("tol_linear", "tol_eig", "tol_series", "tol_invert"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"solver.{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise ConfigError(f"solver.{name} must be positive and finite")
         if self.m_max < 16:
             raise ConfigError("series.m_max must be at least 16")
         for name in ("max_linear_iter", "max_eig_iter", "max_invert_iter"):
@@ -41,6 +44,10 @@ class Tolerances:
         # keeps a load factor equal to a threshold from being classified by
         # float luck.
         return 10.0 * (self.tol_linear + self.tol_eig + self.tol_series)
+
+    def linear_cap(self, n_interior: int) -> int:
+        """Conjugate-gradient iteration cap for ``n_interior`` unknowns."""
+        return 10 * n_interior if self.max_linear_iter is None else self.max_linear_iter
 
 
 def check_schedule(n_schedule, stop_tol: float) -> None:

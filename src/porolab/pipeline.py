@@ -67,8 +67,7 @@ def solve_unit_load(
 ) -> tuple[SparseOperator, GridFunction]:
     """Assemble A_h once and solve A_h v1 = f; every load's v is lambda * v1."""
     op = assemble_operator(problem.grid, problem.field)
-    v1 = solve_linear(op, problem.f, tols.tol_linear, max_iter=tols.max_linear_iter)
-    return op, v1
+    return op, solve_linear(op, problem.f, tols)
 
 
 def approximate_solution(
@@ -82,10 +81,7 @@ def approximate_solution(
         raise ValueError("approximation order n must be >= 1")
     # maximum principle gives v >= 0 up to solver tolerance; clamp roundoff
     y = np.maximum(v.values, 0.0)
-    u = q_partial_inverse(
-        seq, n, y, tol=tols.tol_invert, max_iter=tols.max_invert_iter
-    )
-    return GridFunction(grid=v.grid, values=u)
+    return GridFunction(grid=v.grid, values=q_partial_inverse(seq, n, y, tols))
 
 
 def default_test_set(v1: GridFunction) -> list[GridFunction]:
@@ -204,7 +200,7 @@ def flat_zone(
     """Locate {v >= K} and the mean distance of u_{n_large} to sigma on it."""
     if n_large < 1:
         raise ValueError("n_large must be >= 1")
-    prof = series_mod.profile(seq, m_max=tols.m_max, tol=tols.tol_series)
+    prof = series_mod.profile(seq, tols)
     if not prof.K.is_finite:
         reason = (
             "boundary sum divergent"

@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, InvalidSequence, NoConvergence
+from .params import Tolerances
 
 TAILS = ("repeat-ratio", "power-law")
 
@@ -74,9 +75,11 @@ class CoefficientSequence:
         t = s/sigma.  Overflowing entries become +inf.
 
         With sigma = 1 these are the coefficients.  Otherwise the tail is a
-        ratio tail: its head is formed in logs, so that neither a_m nor
-        sigma^m overflows on its own (b_m itself still may under- or
-        overflow), and beyond it every term is a_L sigma^L.
+        ratio tail, and beyond its head every term is a_L sigma^L.  A head
+        term is the product a_m sigma^m, good to about an ulp, where sigma^m
+        is a normal float; elsewhere it is formed in logs, so that sigma^m
+        cannot under- or overflow on its own (b_m itself still may), at a
+        cost of about |m log sigma| ulps.
         """
         if self.sigma == 1.0:
             return self.coefficients(n)
@@ -84,8 +87,13 @@ class CoefficientSequence:
         k = min(n, len(self.head))
         a = np.array(self.head[:k] + (a_L,))
         m = np.append(np.arange(1.0, k + 1.0), L)
-        with np.errstate(divide="ignore", over="ignore"):
-            terms = np.exp(np.log(a) + m * math.log(self.sigma))
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            power = self.sigma**m
+            terms = np.where(
+                (power >= np.finfo(float).tiny) & (power < math.inf),
+                a * power,
+                np.exp(np.log(a) + m * math.log(self.sigma)),
+            )
         return terms[np.minimum(np.arange(n), k)]
 
 
@@ -225,7 +233,7 @@ class KStatus:
         return self.status == STATUS_DIVERGENT
 
 
-def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KStatus:
+def boundary_sum(seq: CoefficientSequence, tols: Tolerances = Tolerances()) -> KStatus:
     """Decide convergence of K = sum a_m sigma^m from the shape of the tail.
 
     A log tail telescopes.  A ratio tail has a_m sigma^m constant and
@@ -235,10 +243,9 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
     (g = c x^p is completely monotone, so the remainder alternates in sign
     and is bounded by the first omitted term; Graham, Knuth and Patashnik,
     *Concrete Mathematics*, 9.5).  When no enclosure is narrower than
-    tol * K the result is inconclusive.
+    tol_series * K the result is inconclusive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    m_max = tols.m_max
     eps = np.finfo(float).eps
 
     if seq.rule == RULE_LOG:
@@ -286,7 +293,7 @@ def boundary_sum(seq: CoefficientSequence, tol: float, m_max: int = 256) -> KSta
             + 8.0 * (integral + g / 2.0 - d1 / 12.0 - d3 / 720.0)
         )
         half = (upper - lower) / 2.0 + rounding
-        if half < tol * value:
+        if half < tols.tol_series * value:
             return KStatus(
                 status=STATUS_FINITE,
                 value=value,
@@ -364,11 +371,7 @@ def q_partial(seq: CoefficientSequence, n: int, s):
 
 
 def q_partial_inverse(
-    seq: CoefficientSequence,
-    n: int,
-    y,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    seq: CoefficientSequence, n: int, y, tols: Tolerances = Tolerances()
 ):
     """Solve Q_n(s) = y for s >= 0 (elementwise for arrays).
 
@@ -380,8 +383,9 @@ def q_partial_inverse(
     onto it (Kelley, *Solving Nonlinear Equations with Newton's Method*,
     SIAM 2003).  The start is the cap min_m (y/b_m)^(1/m) over m = 1, the
     powers of two and n: each positive term gives Q_n >= b_m t^m.  Only
-    nodes that have not stopped are re-evaluated.  The one stop rule is
-    that |Q_n - y| <= max(tol * max(1, y), n eps Q_n).  Its second term
+    nodes that have not stopped are re-evaluated, at most max_invert_iter
+    times.  The one stop rule is that
+    |Q_n - y| <= max(tol_invert * max(1, y), n eps Q_n).  Its second term
     bounds the rounding of Horner's rule over n nonnegative terms (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 5.1), below which
     float64 cannot place the root.  DomainError is raised when a boundary
@@ -391,8 +395,6 @@ def q_partial_inverse(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     y_arr = np.asarray(y, dtype=float).ravel()
     if not np.all(y_arr >= 0):
         raise ValueError("y must be nonnegative")
@@ -410,10 +412,10 @@ def q_partial_inverse(
         raise DomainError(
             f"a root of Q_{n} for {seq.label} lies beyond float64 in t = s/sigma"
         )
-    target = tol * np.maximum(1.0, y_arr)
+    target = tols.tol_invert * np.maximum(1.0, y_arr)
     rounding = n * np.finfo(float).eps
 
-    for _ in range(max_iter):
+    for _ in range(tols.max_invert_iter):
         if not active.size:
             break
         x = t[active]
@@ -429,7 +431,8 @@ def q_partial_inverse(
         active = active[~stop]
     if active.size:
         raise NoConvergence(
-            f"partial-sum inversion did not reach tol={tol} in {max_iter} iterations"
+            f"partial-sum inversion did not reach tol={tols.tol_invert} "
+            f"in {tols.max_invert_iter} iterations"
         )
     t *= seq.sigma
     return float(t[0]) if np.ndim(y) == 0 else t.reshape(np.shape(y))
@@ -462,8 +465,6 @@ class SeriesProfile:
     K: KStatus
 
 
-def profile(
-    seq: CoefficientSequence, m_max: int = 256, tol: float = 1e-8
-) -> SeriesProfile:
+def profile(seq: CoefficientSequence, tols: Tolerances = Tolerances()) -> SeriesProfile:
     """The radius sigma and the boundary sum status in one shot."""
-    return SeriesProfile(sigma=seq.sigma, K=boundary_sum(seq, tol, m_max))
+    return SeriesProfile(sigma=seq.sigma, K=boundary_sum(seq, tols))

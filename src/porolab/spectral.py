@@ -1,8 +1,9 @@
 """First weighted eigenvalue of -div(A grad phi) = lambda f phi.
 
 Inverse power iteration on the pencil (A_h, diag(f)): each step solves one
-linear system with conjugate gradients and renormalizes in the f-weighted
-l2 inner product.  Only the smallest eigenvalue is needed, so no shifts.
+linear system with conjugate gradients, to a relative residual of
+min(tol_linear, tol_eig / 100), and renormalizes in the f-weighted l2 inner
+product.  Only the smallest eigenvalue is needed, so no shifts.
 A zero of f at some nodes leaves the iteration well-posed because A_h is
 positive definite; f identically zero is rejected.
 """
@@ -16,6 +17,7 @@ from scipy.sparse.linalg import cg
 
 from .errors import InvalidWeight, NoConvergence
 from .elliptic import GridFunction, SparseOperator
+from .params import Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,32 +42,26 @@ def _weight_vector(op: SparseOperator, f: GridFunction) -> np.ndarray:
 
 
 def principal_eigenpair(
-    op: SparseOperator,
-    f: GridFunction,
-    tol: float,
-    inner_tol: float | None = None,
-    max_iter: int = 500,
-    max_linear_iter: int | None = None,
+    op: SparseOperator, f: GridFunction, tols: Tolerances = Tolerances()
 ) -> EigenPair:
     """Smallest eigenvalue of A_h phi = lambda diag(f) phi with phi > 0.
 
     Starts from the all-ones interior vector (never orthogonal to the
     principal eigenfunction, which has one sign); stops when successive
-    eigenvalue estimates agree to tol relatively.
+    eigenvalue estimates agree to tol_eig relatively, within max_eig_iter
+    steps.
     """
-    if tol <= 0:
-        raise InvalidWeight("solver.tol_eig must be positive")
     w = _weight_vector(op, f)
     vol = op.grid.cell_volume
     n = op.grid.n_interior
-    cap = max_linear_iter if max_linear_iter is not None else 10 * n
-    itol = inner_tol if inner_tol is not None else min(1e-12, tol * 1e-2)
+    tol, cap = tols.tol_eig, tols.linear_cap(n)
+    itol = min(tols.tol_linear, tol * 1e-2)
 
     phi = np.ones(n)
     phi /= np.sqrt(float(np.sum(w * phi * phi)) * vol)
     lam = float(phi @ (op.matrix @ phi)) / float(np.sum(w * phi * phi))
 
-    for k in range(1, max_iter + 1):
+    for k in range(1, tols.max_eig_iter + 1):
         rhs = w * phi
         z, info = cg(op.matrix, rhs, x0=phi / lam, rtol=itol, atol=0.0, maxiter=cap)
         if info != 0:
@@ -85,7 +81,7 @@ def principal_eigenpair(
         lam = lam_new
     else:
         raise NoConvergence(
-            f"eigen iteration did not converge in {max_iter} steps (tol={tol})"
+            f"eigen iteration did not converge in {tols.max_eig_iter} steps (tol={tol})"
         )
 
     return EigenPair(

@@ -25,6 +25,7 @@ from porolab.elliptic import (
     solve_linear,
     sup_norm,
 )
+from porolab.params import Tolerances
 from porolab.pipeline import (
     approximate_solution,
     converge,
@@ -91,7 +92,7 @@ def test_criterion_01_linear_solver_oracle():
     t0 = time.perf_counter()
     p = _constant_problem(2.0, n=128)
     op = assemble_operator(p.grid, p.field)
-    v = solve_linear(op, p.f, tol=1e-12)
+    v = solve_linear(op, p.f, Tolerances(tol_linear=1e-12))
     elapsed = time.perf_counter() - t0
     err = float(np.max(np.abs(v.values - p.grid.axes[0].nodes * (1 - p.grid.axes[0].nodes))))
     _check(
@@ -104,15 +105,16 @@ def test_criterion_01_linear_solver_oracle():
 
 def test_criterion_02_eigenvalue_oracle():
     t0 = time.perf_counter()
+    tols = Tolerances(tol_eig=1e-10)
     p1 = _constant_problem(1.0, n=128)
-    pair1 = principal_eigenpair(assemble_operator(p1.grid, p1.field), p1.f, tol=1e-10)
+    pair1 = principal_eigenpair(assemble_operator(p1.grid, p1.field), p1.f, tols)
     h1 = p1.grid.axes[0].h
     discrete1 = 2.0 * (1.0 - math.cos(math.pi * h1)) / h1**2
     rel_pi = abs(pair1.lambda1 - math.pi**2) / math.pi**2
     rel_disc = abs(pair1.lambda1 - discrete1) / discrete1
 
     p2 = _constant_problem(1.0, n=64, dim=2)
-    pair2 = principal_eigenpair(assemble_operator(p2.grid, p2.field), p2.f, tol=1e-10)
+    pair2 = principal_eigenpair(assemble_operator(p2.grid, p2.field), p2.f, tols)
     rel_2d = abs(pair2.lambda1 - 2 * math.pi**2) / (2 * math.pi**2)
     elapsed = time.perf_counter() - t0
     _check(
@@ -283,12 +285,12 @@ def test_criterion_09_monotonicity_suite():
         nested = np.all(q_partial(seq, n + 1, ss) >= q_partial(seq, n, ss) - 1e-14)
 
         ys = q_partial(seq, n, ss)
-        back = q_partial_inverse(seq, n, ys, tol=1e-10)
+        back = q_partial_inverse(seq, n, ys, Tolerances(tol_invert=1e-10))
         round_trip = np.max(
             np.abs(q_partial(seq, n, back) - ys) / np.maximum(1.0, ys)
         ) <= 1e-10
 
-        u_hi = q_partial_inverse(seq, n + 1, ys, tol=1e-10)
+        u_hi = q_partial_inverse(seq, n + 1, ys, Tolerances(tol_invert=1e-10))
         pointwise = np.all(u_hi <= back + 2e-10)
 
         if not (nested and round_trip and pointwise):

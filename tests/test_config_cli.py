@@ -185,6 +185,7 @@ def test_file_datum_resolved_relative_to_config(tmp_path):
             MINIMAL + "\n[domain]\ndim = 2\n\n[data]\nkind = constant\ncenter_y = 0.3\n",
             "data.center_y is not read when data.kind = constant, domain.dim = 2",
         ),
+        (MINIMAL + "m_max = 8\n", "series.m_max must be at least 16"),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, text, fragment):

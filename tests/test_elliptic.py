@@ -37,9 +37,10 @@ from porolab.errors import (
     InvalidWeight,
     NoConvergence,
 )
+from porolab.params import Tolerances
 from porolab.pipeline import solve_unit_load
 
-TOL = 1e-12
+TOLS = Tolerances(tol_linear=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def _poisson_1d(n, f_values, a_value=1.0):
     fld = constant_field(g, a_value)
     op = assemble_operator(g, fld)
     f = GridFunction(grid=g, values=f_values(g.axes[0].nodes))
-    return g, solve_linear(op, f, tol=TOL)
+    return g, solve_linear(op, f, TOLS)
 
 
 def test_solve_constant_load_is_stencil_exact():
@@ -286,7 +287,7 @@ def test_solve_variable_coefficient_second_order():
             grid=g,
             values=-np.pi * np.cos(np.pi * x) + (1 + x) * np.pi**2 * np.sin(np.pi * x),
         )
-        v = solve_linear(op, f, tol=TOL)
+        v = solve_linear(op, f, TOLS)
         errs.append(np.max(np.abs(v.values - np.sin(np.pi * x))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
@@ -299,7 +300,7 @@ def test_solve_2d_separable_oracle():
     X, Y = g.node_coordinates()
     exact = np.sin(np.pi * X) * np.sin(np.pi * Y)
     f = GridFunction(grid=g, values=2 * np.pi**2 * exact)
-    v = solve_linear(op, f, tol=TOL)
+    v = solve_linear(op, f, TOLS)
     assert np.max(np.abs(v.values - exact)) <= 5e-3  # O(h^2), h = 1/32
 
 
@@ -309,9 +310,9 @@ def test_solve_is_linear_in_the_load():
     op = assemble_operator(g, constant_field(g, 1.0))
     f1 = GridFunction(grid=g, values=rng.uniform(0, 1, g.node_shape))
     f2 = GridFunction(grid=g, values=rng.uniform(0, 1, g.node_shape))
-    v1 = solve_linear(op, f1, tol=TOL)
-    v2 = solve_linear(op, f2, tol=TOL)
-    both = solve_linear(op, GridFunction(grid=g, values=f1.values + f2.values), tol=TOL)
+    v1 = solve_linear(op, f1, TOLS)
+    v2 = solve_linear(op, f2, TOLS)
+    both = solve_linear(op, GridFunction(grid=g, values=f1.values + f2.values), TOLS)
     np.testing.assert_allclose(both.values, v1.values + v2.values, atol=1e-9)
 
 
@@ -320,14 +321,14 @@ def test_solve_maximum_principle():
     g = build_grid(2, n_cells=10, n_cells_y=10)
     op = assemble_operator(g, ramp_field(g, base=1.0, slope_x=1.0, slope_y=1.0))
     f = GridFunction(grid=g, values=rng.uniform(0, 3, g.node_shape))
-    v = solve_linear(op, f, tol=TOL)
+    v = solve_linear(op, f, TOLS)
     assert v.values.min() >= -1e-10 * sup_norm(v)
 
 
 def test_solve_zero_rhs_returns_exact_zero():
     g = build_grid(1, n_cells=16)
     op = assemble_operator(g, constant_field(g))
-    v = solve_linear(op, GridFunction.zero(g), tol=TOL)
+    v = solve_linear(op, GridFunction.zero(g), TOLS)
     assert np.all(v.values == 0.0)
 
 
@@ -336,7 +337,7 @@ def test_solve_iteration_cap_raises():
     op = assemble_operator(g, constant_field(g))
     f = GridFunction(grid=g, values=np.full(g.node_shape, 2.0))
     with pytest.raises(NoConvergence):
-        solve_linear(op, f, tol=1e-12, max_iter=1)
+        solve_linear(op, f, Tolerances(tol_linear=1e-12, max_linear_iter=1))
 
 
 def test_solve_accepts_float64_limit_on_fine_grid():
@@ -345,7 +346,7 @@ def test_solve_accepts_float64_limit_on_fine_grid():
     g = build_grid(2, n_cells=256)
     op = assemble_operator(g, constant_field(g))
     f = GridFunction(grid=g, values=np.ones(g.node_shape))
-    v = solve_linear(op, f, tol=1e-12)
+    v = solve_linear(op, f, Tolerances(tol_linear=1e-12))
     assert sup_norm(v) == pytest.approx(0.07367, rel=1e-3)
 
 
@@ -362,10 +363,10 @@ def test_solve_rejects_perturbed_answer(monkeypatch):
     g = build_grid(1, n_cells=128)
     op = assemble_operator(g, constant_field(g))
     f = GridFunction(grid=g, values=np.full(g.node_shape, 2.0))
-    solve_linear(op, f, tol=1e-12)  # the exact CG answer passes
+    solve_linear(op, f, Tolerances(tol_linear=1e-12))  # the exact CG answer passes
     monkeypatch.setattr(elliptic, "cg", sloppy_cg)
     with pytest.raises(NoConvergence, match="backward error"):
-        solve_linear(op, f, tol=1e-12)
+        solve_linear(op, f, Tolerances(tol_linear=1e-12))
 
 
 def test_solution_has_zero_boundary():

@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import importlib
+import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,11 @@ def test_classification_band_definition():
         ({"m_max": 8}, "m_max"),
         ({"max_eig_iter": 0}, "max_eig_iter"),
         ({"max_invert_iter": 0}, "max_invert_iter"),
+        ({"tol_eig": 0.0}, "tol_eig"),
+        ({"tol_linear": math.inf}, "tol_linear"),
+        ({"tol_eig": math.inf}, "tol_eig"),
+        ({"tol_linear": math.nan}, "tol_linear"),
+        ({"tol_invert": math.nan}, "tol_invert"),
     ],
 )
 def test_validate_names_the_key(kwargs, key):
@@ -84,6 +91,26 @@ def test_every_exported_name_resolves():
     # a stale entry in __all__ would only break `from porolab import *`
     assert [name for name in porolab.__all__ if not hasattr(porolab, name)] == []
     assert len(set(porolab.__all__)) == len(porolab.__all__)
+
+
+def test_solver_settings_come_only_from_tolerances():
+    # a solver reads its settings from one Tolerances bundle, never from a
+    # parameter of its own
+    per_call = {"tol", "inner_tol", "max_iter", "max_linear_iter", "m_max"}
+    found = []
+    for name in porolab.__all__:
+        obj = getattr(porolab, name)
+        if not callable(obj) or obj is Tolerances:
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # the exception classes have no Python signature
+            continue
+        found += [(name, p) for p in params if p in per_call]
+    assert found == []
+    # the positions that the benchmark's tracer reads
+    assert list(inspect.signature(porolab.q_partial_inverse).parameters)[2] == "y"
+    assert list(inspect.signature(porolab.write_gridfunction_csv).parameters)[1] == "path"
 
 
 def test_traced_names_resolve():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porolab.errors import DomainError, InvalidSequence
+from porolab.params import Tolerances
 from porolab.series import (
     KStatus,
     boundary_sum,
@@ -95,7 +96,7 @@ def test_custom_power_law_tail_exponent_is_finite():
     # the quotient 1e-300 / 1e300 underflows to 0; the fitted exponent must not
     seq = custom([1.0, 1e300, 1e-300], tail="power-law")
     assert seq.rate == pytest.approx(-600 * math.log(10) / math.log(1.5))
-    assert boundary_sum(seq, tol=1e-8).is_finite
+    assert boundary_sum(seq, Tolerances(tol_series=1e-8)).is_finite
     with pytest.raises(InvalidSequence, match="exponent must be finite"):
         custom([1.0, 0.5], tail="power-law", tail_exponent=math.inf)
 
@@ -180,46 +181,46 @@ def test_radius_zero_or_infinite_in_float64_rejected(build):
 
 
 def test_boundary_sum_log_kind_telescopes_to_two():
-    st = boundary_sum(log_kind(), tol=1e-8)
+    st = boundary_sum(log_kind(), Tolerances(tol_series=1e-8))
     assert st.is_finite
     assert st.value == pytest.approx(2.0, abs=1e-8)
     assert st.tail_bound < 1e-8 * st.value
 
 
 def test_boundary_sum_harmonic_diverges():
-    st = boundary_sum(harmonic(), tol=1e-8)
+    st = boundary_sum(harmonic(), Tolerances(tol_series=1e-8))
     assert st.is_divergent
     assert st.value is None and st.cutoff == 256
 
 
 def test_boundary_sum_geometric_at_radius_diverges():
-    st = boundary_sum(geometric(2.0), tol=1e-8)
+    st = boundary_sum(geometric(2.0), Tolerances(tol_series=1e-8))
     assert st.is_divergent
     assert st.value is None and st.cutoff == 256
 
 
 def test_boundary_sum_power_law_vs_zeta_two():
-    st = boundary_sum(power_law(-2.0), tol=1e-8, m_max=40000)
+    st = boundary_sum(power_law(-2.0), Tolerances(tol_series=1e-8, m_max=40000))
     assert st.is_finite
     assert st.value == pytest.approx(math.pi**2 / 6, abs=1e-7)
 
 
 def test_boundary_sum_power_law_inconclusive_at_small_m_max():
     # the enclosure at M = 256 is wider than tol * value
-    st = boundary_sum(power_law(-2.0), tol=1e-14, m_max=256)
+    st = boundary_sum(power_law(-2.0), Tolerances(tol_series=1e-14, m_max=256))
     assert st.status == "inconclusive"
 
 
 def test_boundary_sum_power_law_divergent_exponent():
-    st = boundary_sum(power_law(-1.0), tol=1e-8)
+    st = boundary_sum(power_law(-1.0), Tolerances(tol_series=1e-8))
     assert st.is_divergent
-    st = boundary_sum(power_law(1.0), tol=1e-8)
+    st = boundary_sum(power_law(1.0), Tolerances(tol_series=1e-8))
     assert st.is_divergent
 
 
 def test_boundary_sum_custom_power_law_tail():
     seq = custom([2.0, 1.0], tail="power-law", tail_exponent=-2.0)
-    st = boundary_sum(seq, tol=1e-8, m_max=40000)
+    st = boundary_sum(seq, Tolerances(tol_series=1e-8, m_max=40000))
     exact = 3.0 + 4.0 * (math.pi**2 / 6 - 1.0 - 0.25)
     assert st.is_finite
     assert st.value == pytest.approx(exact, abs=1e-6)
@@ -230,7 +231,7 @@ def test_boundary_sum_custom_power_law_tail():
     "p", [-1.00001, -1.0001, -1.001, -1.01, -1.5, -2.0, -3.0, -6.0, -12.0, -40.0]
 )
 def test_boundary_sum_power_law_encloses_zeta(p, m_max):
-    st = boundary_sum(power_law(p), tol=1e-8, m_max=m_max)
+    st = boundary_sum(power_law(p), Tolerances(tol_series=1e-8, m_max=m_max))
     assert st.is_finite
     assert abs(st.value - float(mpmath.zeta(-p))) <= st.tail_bound
 
@@ -244,7 +245,7 @@ def test_boundary_sum_power_law_encloses_zeta(p, m_max):
 def test_boundary_sum_custom_power_law_tail_encloses_hurwitz_zeta(head, last, p):
     vals = [1.0, *head, *last]
     seq = custom(vals, tail="power-law", tail_exponent=p)
-    st_ = boundary_sum(seq, tol=1e-8)
+    st_ = boundary_sum(seq, Tolerances(tol_series=1e-8))
     assert st_.is_finite
     L = len(vals)
     c = mpmath.mpf(vals[-1]) / mpmath.mpf(L) ** p
@@ -260,7 +261,7 @@ def test_boundary_sum_custom_power_law_tail_encloses_hurwitz_zeta(head, last, p)
 def test_boundary_sum_repeat_ratio_tail_diverges(head, last):
     seq = custom([1.0, *head, *last])
     assert seq.sigma == last[0] / last[1]
-    st_ = boundary_sum(seq, tol=1e-8)
+    st_ = boundary_sum(seq, Tolerances(tol_series=1e-8))
     assert st_.is_divergent
     assert st_.value is None and st_.cutoff == 256
 
@@ -333,8 +334,13 @@ def test_q_evaluators_reject_nan(arg):
         q_partial(seq, 8, arg)
     with pytest.raises(ValueError, match="s must be nonnegative"):
         q_derivative(seq, arg, 8)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        q_partial_inverse(seq, 8, 1.0, tol=math.nan)
+
+
+def test_ratio_tail_head_terms_are_products():
+    # sigma = 1e-40, so sigma^m is a normal float for m <= 7 and each head
+    # term a_m sigma^m is one product; Q_7(1) = 7 exactly
+    seq = custom([1.0] * 9 + [1e40])
+    assert q_partial(seq, 7, 1.0) == pytest.approx(7.0, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def test_q_partial_inverse_preserves_shape():
@@ -457,10 +463,10 @@ def test_q_partial_inverse_properties(head, middle, last, tail, n, ys):
     terms = seq.boundary_terms(n + 1)
     if not np.all(np.isfinite(terms[:n])):
         with pytest.raises(DomainError):
-            q_partial_inverse(seq, n, ys, tol=tol)
+            q_partial_inverse(seq, n, ys, Tolerances(tol_invert=tol))
         return
     try:
-        s = q_partial_inverse(seq, n, ys, tol=tol)
+        s = q_partial_inverse(seq, n, ys, Tolerances(tol_invert=tol))
     except DomainError:
         # only a root beyond float64 in t = s/sigma
         with np.errstate(over="ignore"):
@@ -470,7 +476,7 @@ def test_q_partial_inverse_properties(head, middle, last, tail, n, ys):
     slack = _inversion_slack(seq, n, ys, s, tol)
     assert np.all(np.diff(s) >= -(slack[1:] + slack[:-1]))
     if np.isfinite(terms[n]):
-        s_next = q_partial_inverse(seq, n + 1, ys, tol=tol)
+        s_next = q_partial_inverse(seq, n + 1, ys, Tolerances(tol_invert=tol))
         assert np.all(
             s_next <= s + slack + _inversion_slack(seq, n + 1, ys, s_next, tol)
         )
