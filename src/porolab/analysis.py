@@ -7,10 +7,11 @@ two thresholds
     lambda_exist    = K / sup(v1)      below it a solution is certified,
     lambda_nonexist = K * lambda1(A,f) above it none can exist,
 
-and the load factor is classified against the bracket.  Threshold equality is
-never decided by float luck: a small relative band around each threshold is
-reported as Indeterminate.  ``half_resolution`` restricts a problem to
-every other node, so a second ``diagnose`` shows how the bracket moves with h.
+and ``classify``, which decides every verdict, places the load factor against
+the bracket.  Threshold equality is never decided by float luck: a small
+relative band around each threshold is reported as Indeterminate.
+``half_resolution`` restricts a problem to every other node, so a second
+``diagnose`` shows how the bracket moves with h.
 """
 
 from __future__ import annotations
@@ -48,26 +49,29 @@ class DiagnosisReport:
     verdict: str
     grid_n: int
     tolerances: Tolerances
-    sup_v1: float | None = None
-    lambda1: float | None = None
-    lambda_exist: float | None = None
-    lambda_nonexist: float | None = None
-    flat_zone_measure: float = 0.0
-    detail: str = ""
+    sup_v1: float | None
+    lambda1: float | None
+    lambda_exist: float | None
+    lambda_nonexist: float | None
+    flat_zone_measure: float
+    detail: str
 
 
 def classify(
     lam: float,
-    lambda_exist: float,
-    lambda_nonexist: float,
+    lambda_exist: float | None,
+    lambda_nonexist: float | None,
     band: float,
 ) -> str:
     """Place a load factor against the bracket with a relative guard band.
 
-    Values within ``band`` (relative) of either threshold are Indeterminate;
-    in particular a load exactly at a threshold never flips verdict by
-    rounding.
+    The one verdict rule.  A missing bracket (None: K undecided) is
+    Indeterminate at every load.  Values within ``band`` (relative) of
+    either threshold are Indeterminate; in particular a load exactly at a
+    threshold never flips verdict by rounding.
     """
+    if lambda_exist is None or lambda_nonexist is None:
+        return VERDICT_INDETERMINATE
     if math.isinf(lambda_exist) and math.isinf(lambda_nonexist):
         return VERDICT_ALL_DATA
     if lam < lambda_exist * (1.0 - band):
@@ -111,89 +115,41 @@ def diagnose(
     every load and no eigensolve runs.
     """
     prof = series_mod.profile(seq, tols)
-    lam = problem.lambda_scale
-    base = dict(
-        series_profile=prof,
-        grid_n=problem.grid.axes[0].n,
-        tolerances=tols,
-    )
-
-    if prof.K.is_divergent:
-        return DiagnosisReport(
-            verdict=VERDICT_ALL_DATA,
-            lambda_exist=math.inf,
-            lambda_nonexist=math.inf,
-            detail=prof.K.detail or "boundary sum divergent",
-            **base,
-        )
-    if not prof.K.is_finite:
-        return DiagnosisReport(
-            verdict=VERDICT_INDETERMINATE,
-            detail=f"boundary sum undecided: {prof.K.detail}",
-            **base,
-        )
-
-    K = prof.K.value
-    op, v1 = solve_unit_load(problem, tols)
-    sup_v1 = sup_norm(v1)
-    if sup_v1 == 0.0:
-        return DiagnosisReport(
-            verdict=VERDICT_ALL_DATA,
-            sup_v1=sup_v1,
-            lambda_exist=math.inf,
-            lambda_nonexist=math.inf,
-            detail="unit-load solution v1 vanishes, so u = 0 solves every load",
-            **base,
-        )
-    lambda1 = principal_eigenpair(op, problem.f, tols).lambda1
-    lambda_exist = K / sup_v1
-    lambda_nonexist = K * lambda1
-    verdict = classify(lam, lambda_exist, lambda_nonexist, tols.classification_band)
-    flat = measure_above(v1.scaled(lam), K)
+    K = prof.K
+    sup_v1 = lambda1 = lambda_exist = lambda_nonexist = None
+    flat = 0.0
+    detail = ""
+    if K.is_divergent:
+        lambda_exist = lambda_nonexist = math.inf
+        detail = K.detail or "boundary sum divergent"
+    elif not K.is_finite:
+        detail = f"boundary sum undecided: {K.detail}"
+    else:
+        op, v1 = solve_unit_load(problem, tols)
+        sup_v1 = sup_norm(v1)
+        if sup_v1 == 0.0:
+            lambda_exist = lambda_nonexist = math.inf
+            detail = "unit-load solution v1 vanishes, so u = 0 solves every load"
+        else:
+            lambda1 = principal_eigenpair(op, problem.f, tols).lambda1
+            lambda_exist = K.value / sup_v1
+            lambda_nonexist = K.value * lambda1
+            flat = measure_above(v1.scaled(problem.lambda_scale), K.value)
 
     return DiagnosisReport(
-        verdict=verdict,
+        series_profile=prof,
+        verdict=classify(
+            problem.lambda_scale, lambda_exist, lambda_nonexist, tols.classification_band
+        ),
+        grid_n=problem.grid.axes[0].n,
+        tolerances=tols,
         sup_v1=sup_v1,
         lambda1=lambda1,
         lambda_exist=lambda_exist,
         lambda_nonexist=lambda_nonexist,
         flat_zone_measure=flat,
-        **base,
+        detail=detail,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    rows: tuple[tuple[float, str], ...]
-    base_report: DiagnosisReport
-
-
-def lambda_sweep(
-    seq: CoefficientSequence,
-    problem: EllipticProblem,
-    lambda_grid,
-    tols: Tolerances = Tolerances(),
-) -> SweepResult:
-    """Classify each load factor against one shared bracket.
-
-    The auxiliary solution scales linearly with the load, so a single
-    diagnosis serves the whole grid.
-    """
-    lams = [float(x) for x in lambda_grid]
-    if not all(0 < x < math.inf for x in lams):
-        raise ValueError("lambda grid entries must be positive and finite")
-    report = diagnose(seq, problem, tols)
-    band = report.tolerances.classification_band
-    rows = tuple(
-        (
-            lam,
-            VERDICT_INDETERMINATE
-            if report.lambda_exist is None
-            else classify(lam, report.lambda_exist, report.lambda_nonexist, band),
-        )
-        for lam in lams
-    )
-    return SweepResult(rows=rows, base_report=report)
 
 
 # ---------------------------------------------------------------------------

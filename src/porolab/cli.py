@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DiagnosisReport,
+    classify,
     diagnose,
     half_resolution,
-    lambda_sweep,
     report_to_json,
     to_json,
 )
@@ -146,14 +146,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--steps must be at least 1")
     if args.lambda_min <= 0:
         raise ConfigError("--lambda-min must be positive")
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    result = lambda_sweep(cfg.sequence, cfg.problem, lams, cfg.tolerances)
+    # v = lambda * v1, so one diagnosis gives the bracket for every load
+    report = diagnose(cfg.sequence, cfg.problem, cfg.tolerances)
+    band = cfg.tolerances.classification_band
     lines = [f"# {_comment(cfg)}", "lambda,verdict"]
-    for lam, verdict in result.rows:
+    for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
+        verdict = classify(lam, report.lambda_exist, report.lambda_nonexist, band)
         lines.append(f"{lam:.16e},{verdict}")
     with open(args.out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(_bracket(result.base_report))
+    print(_bracket(report))
     return 0
 
 

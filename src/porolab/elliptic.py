@@ -62,6 +62,14 @@ class Grid:
     def __post_init__(self):
         if len(self.axes) not in (1, 2):
             raise ConfigError("domain.dim must be 1 or 2")
+        for name, a in zip(_AXIS_NAMES, self.axes):
+            if not -math.inf < a.lo < a.hi < math.inf:  # NaN fails too
+                raise ConfigError(f"domain {name} extent is degenerate (need {name}1 > {name}0)")
+            if not (isinstance(a.n, (int, np.integer)) and a.n >= 4):
+                raise ConfigError("domain.n_cells must be at least 4 per axis")
+        # plain Python numbers, whatever numeric types the axes came in
+        axes = tuple(Axis(float(a.lo), float(a.hi), int(a.n)) for a in self.axes)
+        object.__setattr__(self, "axes", axes)
 
     @property
     def dim(self) -> int:
@@ -113,20 +121,13 @@ def build_grid(
 ) -> Grid:
     """Uniform grid; node coordinates are a pure function of the arguments.
 
-    The y axis defaults to the x extent and cell count."""
-    if dim not in (1, 2):
-        raise ConfigError("domain.dim must be 1 or 2")
-    extents = (x_extent, x_extent if y_extent is None else y_extent)
-    cells = (n_cells, n_cells if n_cells_y is None else n_cells_y)
-    axes = []
-    for name, (lo, hi), n in zip(_AXIS_NAMES[:dim], extents, cells):
-        lo, hi = float(lo), float(hi)
-        if not hi > lo:
-            raise ConfigError(f"domain {name} extent is degenerate (need {name}1 > {name}0)")
-        if n < 4:
-            raise ConfigError("domain.n_cells must be at least 4 per axis")
-        axes.append(Axis(lo, hi, int(n)))
-    return Grid(tuple(axes))
+    The y axis defaults to the x extent and cell count; ``Grid`` checks the
+    axes, and their count: a ``dim`` other than 1 or 2 builds a tuple it
+    rejects."""
+    x = Axis(x_extent[0], x_extent[1], n_cells)
+    y_lo, y_hi = x_extent if y_extent is None else y_extent
+    y = Axis(y_lo, y_hi, n_cells if n_cells_y is None else n_cells_y)
+    return Grid(tuple(x if k == 0 else y for k in range(dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +307,8 @@ def solve_linear(
     relative residual would not do: float64 CG stalls near eps * cond(A), which
     grows like h^-2 (about 1.3e-11 on a 256^2 grid), while this stays near eps.
     """
+    if rhs.grid != op.grid:
+        raise ConfigError("right-hand side grid does not match operator grid")
     b = rhs.interior()
     if not np.any(b):
         return GridFunction.zero(op.grid)

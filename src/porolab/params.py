@@ -31,12 +31,19 @@ class Tolerances:
         for name in ("tol_linear", "tol_eig", "tol_series", "tol_invert"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails both
                 raise ConfigError(f"solver.{name} must be positive and finite")
-        if self.m_max < 16:
-            raise ConfigError("series.m_max must be at least 16")
-        for name in ("max_linear_iter", "max_eig_iter", "max_invert_iter"):
-            cap = getattr(self, name)
-            if cap is not None and cap < 1:
-                raise ConfigError(f"solver.{name} must be at least 1")
+        for key, least in (
+            ("series.m_max", 16),
+            ("solver.max_linear_iter", 1),
+            ("solver.max_eig_iter", 1),
+            ("solver.max_invert_iter", 1),
+        ):
+            cap = getattr(self, key.partition(".")[2])
+            if cap is None and key == "solver.max_linear_iter":
+                continue
+            if type(cap) is not int:  # a bool, float or numpy scalar fails deep in a solver
+                raise ConfigError(f"{key} must be an integer")
+            if cap < least:
+                raise ConfigError(f"{key} must be at least {least}")
 
     @property
     def classification_band(self) -> float:

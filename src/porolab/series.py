@@ -364,8 +364,8 @@ def q_partial(seq: CoefficientSequence, n: int, s):
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.asarray(s, dtype=float)
-    if not np.all(arr >= 0):
-        raise ValueError("s must be nonnegative")
+    if not np.all((arr >= 0) & (arr < np.inf)):  # NaN fails both
+        raise ValueError("s must be nonnegative and finite")
     out = _horner(_finite_terms(seq, n), arr / seq.sigma)
     return float(out) if np.ndim(s) == 0 else out
 
@@ -396,8 +396,8 @@ def q_partial_inverse(
     if n < 1:
         raise ValueError("n must be >= 1")
     y_arr = np.asarray(y, dtype=float).ravel()
-    if not np.all(y_arr >= 0):
-        raise ValueError("y must be nonnegative")
+    if not np.all((y_arr >= 0) & (y_arr < np.inf)):  # NaN fails both
+        raise ValueError("y must be nonnegative and finite")
     terms = _finite_terms(seq, n)
 
     # in logs, so that y/b_m cannot overflow before its m-th root is taken
@@ -445,8 +445,8 @@ def q_derivative(seq: CoefficientSequence, s, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.asarray(s, dtype=float)
-    if not np.all(arr >= 0):
-        raise ValueError("s must be nonnegative")
+    if not np.all((arr >= 0) & (arr < np.inf)):  # NaN fails both
+        raise ValueError("s must be nonnegative and finite")
     _, dq = _horner_with_derivative(_finite_terms(seq, n), arr / seq.sigma)
     out = dq / seq.sigma
     return float(out) if np.ndim(s) == 0 else out

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from porolab.analysis import diagnose, lambda_sweep
+from porolab.analysis import classify, diagnose
 from porolab.cli import entry
 from porolab.elliptic import (
     EllipticProblem,
@@ -167,8 +167,11 @@ def test_criterion_05_threshold_bracket():
     report = diagnose(log_kind(), _constant_problem(1.0, n=128))
     rel_exist = abs(report.lambda_exist - 16.0) / 16.0
     rel_non = abs(report.lambda_nonexist - 2 * math.pi**2) / (2 * math.pi**2)
-    sweep = lambda_sweep(log_kind(), _constant_problem(1.0), [8.0, 16.0, 18.0, 20.0])
-    pattern = [v for _, v in sweep.rows]
+    band = report.tolerances.classification_band
+    pattern = [
+        classify(lam, report.lambda_exist, report.lambda_nonexist, band)
+        for lam in (8.0, 16.0, 18.0, 20.0)
+    ]
     expected = [
         "ExistsCertified",
         "Indeterminate",

@@ -15,7 +15,6 @@ from porolab.analysis import (
     classify,
     diagnose,
     half_resolution,
-    lambda_sweep,
     report_to_dict,
     report_to_json,
 )
@@ -50,6 +49,7 @@ def test_classify_bracket_regions():
     assert classify(17.0, 16.0, 20.0, band) == VERDICT_INDETERMINATE
     assert classify(25.0, 16.0, 20.0, band) == VERDICT_NONEXIST
     assert classify(5.0, math.inf, math.inf, band) == VERDICT_ALL_DATA
+    assert classify(5.0, None, None, band) == VERDICT_INDETERMINATE  # K undecided
 
 
 def test_classify_band_protects_threshold_equality():
@@ -235,9 +235,14 @@ def test_diagnose_2d_runs_and_brackets():
 # ---------------------------------------------------------------------------
 
 
+def _sweep(report, lams):
+    # a sweep is one diagnosis and one classify per load
+    band = report.tolerances.classification_band
+    return [classify(lam, report.lambda_exist, report.lambda_nonexist, band) for lam in lams]
+
+
 def test_sweep_matches_fixed_verdict_pattern():
-    res = lambda_sweep(log_kind(), _unit_problem(), [8.0, 16.0, 18.0, 20.0])
-    verdicts = [v for _, v in res.rows]
+    verdicts = _sweep(diagnose(log_kind(), _unit_problem()), [8.0, 16.0, 18.0, 20.0])
     assert verdicts == [
         VERDICT_EXISTS,
         VERDICT_INDETERMINATE,
@@ -248,16 +253,16 @@ def test_sweep_matches_fixed_verdict_pattern():
 
 def test_sweep_verdicts_are_monotone_in_lambda():
     lams = np.linspace(0.5, 40.0, 60)
-    res = lambda_sweep(log_kind(), _unit_problem(), lams)
+    verdicts = _sweep(diagnose(log_kind(), _unit_problem()), lams)
     order = [VERDICT_EXISTS, VERDICT_INDETERMINATE, VERDICT_NONEXIST]
-    ranks = [order.index(v) for _, v in res.rows]
+    ranks = [order.index(v) for v in verdicts]
     assert ranks == sorted(ranks)
 
 
 def test_sweep_single_diagnosis_shared():
-    res = lambda_sweep(harmonic(), _unit_problem(), [1.0, 5.0, 500.0])
-    assert all(v == VERDICT_ALL_DATA for _, v in res.rows)
-    assert res.base_report.verdict == VERDICT_ALL_DATA
+    report = diagnose(harmonic(), _unit_problem())
+    assert report.verdict == VERDICT_ALL_DATA
+    assert _sweep(report, [1.0, 5.0, 500.0]) == [VERDICT_ALL_DATA] * 3
 
 
 @pytest.mark.parametrize(
@@ -275,21 +280,9 @@ def test_sweep_agrees_with_diagnose(seq, f_value, tols):
     if base.lambda1 is not None:  # loads below, on, between and above the bracket
         lo, hi = base.lambda_exist, base.lambda_nonexist
         lams = [lo / 2, lo, (lo + hi) / 2, hi, 2 * hi]
-    res = lambda_sweep(seq, _unit_problem(n=16, f_value=f_value), lams, tols)
-    for lam, verdict in res.rows:
+    for lam, verdict in zip(lams, _sweep(base, lams)):
         problem = _unit_problem(lambda_scale=lam, n=16, f_value=f_value)
         assert verdict == diagnose(seq, problem, tols).verdict, lam
-
-
-def test_sweep_rejects_nonpositive_lambda():
-    with pytest.raises(ValueError):
-        lambda_sweep(log_kind(), _unit_problem(), [1.0, 0.0])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_sweep_rejects_nonfinite_lambda(bad):
-    with pytest.raises(ValueError, match="positive and finite"):
-        lambda_sweep(log_kind(), _unit_problem(), [1.0, bad])
 
 
 # ---------------------------------------------------------------------------

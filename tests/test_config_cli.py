@@ -639,6 +639,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     ) == 1
     err = capsys.readouterr().err
     assert "error (config)" in err
+    assert entry(
+        ["sweep", "--config", cfgfile, "--lambda-min", "0", "--lambda-max", "1",
+         "--steps", "3", "--out", str(tmp_path / "x.csv")]
+    ) == 1
+    assert "--lambda-min must be positive" in capsys.readouterr().err
 
     # 3: invalid sequence
     bad = _write(tmp_path, "[series]\nkind = custom\nvalues = 0, 1\n", name="bad.ini")

@@ -80,6 +80,25 @@ def test_build_grid_rejects_bad_input():
         build_grid(1, n_cells=2)
     with pytest.raises(ConfigError):
         build_grid(2, n_cells=16, n_cells_y=3)
+    with pytest.raises(ConfigError, match="n_cells"):
+        build_grid(1, n_cells=8.5)  # not rounded down to 8 cells
+
+
+@pytest.mark.parametrize(
+    "axis,fragment",
+    [
+        (Axis(0.0, 0.0, 8), "degenerate"),  # h = 0
+        (Axis(1.0, 0.0, 8), "degenerate"),  # reversed
+        (Axis(0.0, math.inf, 8), "degenerate"),  # nodes not finite
+        (Axis(0.0, 1.0, 8.5), "n_cells"),
+    ],
+)
+def test_grid_checks_each_axis(axis, fragment):
+    # the documented Grid constructor checks an axis as build_grid did
+    with pytest.raises(ConfigError, match=fragment):
+        Grid((axis,))
+    with pytest.raises(ConfigError, match=fragment):
+        Grid((Axis(0.0, 1.0, 8), axis))
 
 
 @pytest.mark.parametrize("n_axes", [0, 3])
@@ -330,6 +349,14 @@ def test_solve_zero_rhs_returns_exact_zero():
     op = assemble_operator(g, constant_field(g))
     v = solve_linear(op, GridFunction.zero(g), TOLS)
     assert np.all(v.values == 0.0)
+
+
+def test_solve_rejects_rhs_on_another_grid():
+    g, other = build_grid(1, n_cells=8), build_grid(1, n_cells=16)
+    op = assemble_operator(g, constant_field(g))
+    f = GridFunction(grid=other, values=np.ones(other.node_shape))
+    with pytest.raises(ConfigError, match="grid"):
+        solve_linear(op, f, TOLS)
 
 
 def test_solve_iteration_cap_raises():

@@ -46,6 +46,11 @@ def test_classification_band_definition():
         ({"tol_eig": math.inf}, "tol_eig"),
         ({"tol_linear": math.nan}, "tol_linear"),
         ({"tol_invert": math.nan}, "tol_invert"),
+        ({"max_eig_iter": 2.5}, "max_eig_iter"),
+        ({"m_max": 100.5}, "m_max"),
+        ({"max_linear_iter": math.inf}, "max_linear_iter"),
+        ({"max_invert_iter": math.nan}, "max_invert_iter"),
+        ({"max_eig_iter": True}, "max_eig_iter"),
     ],
 )
 def test_validate_names_the_key(kwargs, key):
@@ -73,7 +78,7 @@ def test_top_level_exports():
         "solve_linear",
         "principal_eigenpair",
         "diagnose",
-        "lambda_sweep",
+        "classify",
         "converge",
         "flat_zone",
         "harmonic",
@@ -178,4 +183,27 @@ def test_consumers_loop_over_grid_axes():
                 for side in (node.left, *node.comparators)
             ):
                 found.append((name, node.lineno, "dim compared"))
+    assert found == []
+
+
+_THRESHOLDS = {"lambda_exist", "lambda_nonexist"}
+
+
+def test_only_classify_compares_thresholds():
+    # analysis.classify is the one verdict rule: no other function compares
+    # an expression that reads a threshold, so a second rule cannot grow back
+    src = Path(porolab.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef) or (path.name, func.name) == (
+                "analysis.py",
+                "classify",
+            ):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Compare) and _THRESHOLDS & {
+                    getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)
+                }:
+                    found.append((path.name, func.name, node.lineno))
     assert found == []

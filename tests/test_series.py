@@ -324,9 +324,9 @@ def test_q_partial_inverse_zero_and_negative():
         q_partial_inverse(seq, 5, -0.1)
 
 
-@pytest.mark.parametrize("arg", [math.nan, [1.0, math.nan]])
+@pytest.mark.parametrize("arg", [math.nan, [1.0, math.nan], math.inf])
 def test_q_evaluators_reject_nan(arg):
-    # NaN is not nonnegative: it must fail the domain check, not pass as NaN
+    # NaN and inf must fail the domain check, not pass on to a NaN result
     seq = log_kind()
     with pytest.raises(ValueError, match="y must be nonnegative"):
         q_partial_inverse(seq, 8, arg)
