@@ -27,7 +27,7 @@ from .analysis import (
     to_json,
 )
 from .config import ExperimentConfig, load_config
-from .elliptic import GridFunction, write_gridfunction_csv
+from .elliptic import write_gridfunction_csv
 from .errors import ConfigError, InvalidSequence, NoConvergence, PorolabError
 from .pipeline import ZONE_NOT_APPLICABLE, converge, flat_zone
 
@@ -168,21 +168,8 @@ def _cmd_flatzone(args) -> int:
     if args.n_max < 1:
         raise ConfigError("--n-max must be at least 1")
     result = flat_zone(cfg.sequence, cfg.problem, args.n_max, cfg.tolerances)
-    mask = (
-        result.zone_mask
-        if result.zone_mask is not None
-        else GridFunction.zero(cfg.problem.grid)
-    )
-    write_gridfunction_csv(mask, args.out, comment=_comment(cfg))
-    summary = {
-        "status": result.status,
-        "measure": result.measure,
-        "mean_gap": result.mean_gap,
-        "sigma": result.sigma,
-        "K_value": result.K_value,
-        "n_large": result.n_large,
-        "detail": result.detail,
-    }
+    write_gridfunction_csv(result.zone_mask, args.out, comment=_comment(cfg))
+    summary = {k: v for k, v in vars(result).items() if k != "zone_mask"}
     with open(_summary_path(args.out), "w", newline="") as fh:
         fh.write(to_json(summary, _comment(cfg)))
     if result.status == ZONE_NOT_APPLICABLE:

@@ -136,7 +136,8 @@ class CoefficientField:
 
     ``profiles[k]`` (one value per node of axis k) multiplies the flux along
     axis k; each is stored read-only.  [alpha, beta] is the declared
-    ellipticity window; every value must be finite and lie inside it.
+    ellipticity window, a bound left at 0 is taken from the profiles; every
+    value must be finite and lie inside it.
     """
 
     grid: Grid
@@ -161,8 +162,12 @@ class CoefficientField:
         object.__setattr__(self, "profiles", tuple(profiles))
         lo = float(min(a.min() for a in profiles))
         hi = float(max(a.max() for a in profiles))
-        object.__setattr__(self, "alpha", float(self.alpha if self.alpha > 0 else lo))
-        object.__setattr__(self, "beta", float(self.beta if self.beta > 0 else hi))
+        for name, declared, found in (("alpha", self.alpha, lo), ("beta", self.beta, hi)):
+            if declared != 0.0 and not 0 < declared < math.inf:  # NaN fails both
+                raise EllipticityError(
+                    f"ellipticity bound {name}={declared!r} must be positive and finite"
+                )
+            object.__setattr__(self, name, float(declared or found))
         if not (0 < self.alpha <= self.beta):
             raise EllipticityError(
                 f"ellipticity window [{self.alpha:g}, {self.beta:g}] is invalid"
@@ -242,8 +247,8 @@ class EllipticProblem:
             raise ConfigError("data grid does not match problem grid")
         if not np.all((self.f.values >= 0) & (self.f.values < np.inf)):  # NaN fails both
             raise InvalidWeight("data f must be finite and nonnegative at every node")
-        if not self.lambda_scale > 0:
-            raise ConfigError("data.lambda_scale must be positive")
+        if not 0 < self.lambda_scale < math.inf:  # NaN fails both
+            raise ConfigError("data.lambda_scale must be positive and finite")
 
     def rhs(self) -> GridFunction:
         return self.f.scaled(self.lambda_scale)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -57,11 +58,23 @@ class Tolerances:
         return 10 * n_interior if self.max_linear_iter is None else self.max_linear_iter
 
 
-def check_schedule(n_schedule, stop_tol: float) -> None:
-    """The rule for an approximation schedule and its stop tolerance."""
-    if not n_schedule or any(n < 1 for n in n_schedule) or any(
-        b <= a for a, b in zip(n_schedule, n_schedule[1:])
-    ):
+def check_order(n, name: str = "n") -> int:
+    """The rule for an approximation order: a Python or numpy integer >= 1,
+    returned as ``int``.  A bool or a float is not an order."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+    return int(n)
+
+
+def check_schedule(n_schedule, stop_tol: float) -> list[int]:
+    """The rule for an approximation schedule and its stop tolerance; returns
+    the schedule as a list of ``int``."""
+    try:
+        schedule = [check_order(n) for n in n_schedule]
+    except ValueError:
+        schedule = []
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("run.n_schedule must be strictly increasing positive integers")
     if not stop_tol > 0:
         raise ConfigError("run.stop_tol must be positive")
+    return schedule

@@ -5,7 +5,8 @@ auxiliary solution is v = lambda * v1 by linearity; every approximation order
 n then only inverts the partial sum nodewise.  ``converge`` keeps each order's
 sup and weak residual (against test functions that include v1) but only the
 last u; the stop rule needs just the previous one.  ``flat_zone`` measures
-the nodes where v reaches the boundary sum K.  No eigensolve runs here.
+the nodes where v reaches the boundary sum K and inverts at those nodes
+only.  No eigensolve runs here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .elliptic import (
     solve_linear,
     sup_norm,
 )
-from .params import Tolerances, check_schedule
+from .params import Tolerances, check_order, check_schedule
 from .series import CoefficientSequence, q_partial, q_partial_inverse
 
 ZONE_OK = "OK"
@@ -36,16 +37,17 @@ ZONE_NOT_APPLICABLE = "NotApplicable"
 
 @dataclass(frozen=True, eq=False)
 class FlatZoneResult:
-    """Zone where v reaches K, with the gap to sigma at a large order."""
+    """Zone where v reaches K (an all-zero mask when K is not finite), with
+    the gap to sigma at a large order."""
 
     status: str
-    measure: float = 0.0
-    mean_gap: float = 0.0
-    zone_mask: GridFunction | None = None
-    sigma: float | None = None
-    K_value: float | None = None
-    n_large: int | None = None
-    detail: str = ""
+    measure: float
+    mean_gap: float
+    zone_mask: GridFunction
+    sigma: float
+    K_value: float | None
+    n_large: int | None
+    detail: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +79,6 @@ def approximate_solution(
     tols: Tolerances = Tolerances(),
 ) -> GridFunction:
     """u_n = Q_n^{-1}(v) nodewise on v's grid; v = lambda * v1 is reusable across n."""
-    if n < 1:
-        raise ValueError("approximation order n must be >= 1")
     # maximum principle gives v >= 0 up to solver tolerance; clamp roundoff
     y = np.maximum(v.values, 0.0)
     return GridFunction(grid=v.grid, values=q_partial_inverse(seq, n, y, tols))
@@ -124,8 +124,7 @@ def weak_residual(
     with M = n the value collapses to the linear solver defect plus inversion
     tolerance.
     """
-    if M_terms < 1:
-        raise ValueError("M_terms must be >= 1")
+    check_order(M_terms, "M_terms")
     if not test_set:
         return 0.0
     vol = problem.grid.cell_volume
@@ -163,8 +162,7 @@ def converge(
     Stops once sup|u_n - u_next| <= stop_tol; otherwise runs the whole
     schedule (expected where the limit touches sigma).
     """
-    schedule = [int(n) for n in n_schedule]
-    check_schedule(schedule, stop_tol)
+    schedule = check_schedule(n_schedule, stop_tol)
 
     op, v1 = solve_unit_load(problem, tols)
     v = v1.scaled(problem.lambda_scale)
@@ -197,29 +195,27 @@ def flat_zone(
     n_large: int,
     tols: Tolerances = Tolerances(),
 ) -> FlatZoneResult:
-    """Locate {v >= K} and the mean distance of u_{n_large} to sigma on it."""
-    if n_large < 1:
-        raise ValueError("n_large must be >= 1")
+    """Locate {v >= K} and the mean distance of u_{n_large} to sigma on it.
+
+    Only the zone's nodes are inverted; without a finite K it is empty."""
+    n_large = check_order(n_large, "n_large")
     prof = series_mod.profile(seq, tols)
-    if not prof.K.is_finite:
-        reason = (
-            "boundary sum divergent"
-            if prof.K.is_divergent
-            else f"boundary sum {prof.K.status}"
-        )
-        return FlatZoneResult(status=ZONE_NOT_APPLICABLE, sigma=prof.sigma, detail=reason)
-    v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale)
-    u = approximate_solution(seq, v, n_large, tols)
-    mask = v.values >= prof.K.value
-    gap = (
-        float(np.mean(np.abs(u.values[mask] - prof.sigma))) if mask.any() else 0.0
-    )
+    mask = np.zeros(problem.grid.node_shape, dtype=bool)
+    gap = 0.0
+    if prof.K.is_finite:
+        v = solve_unit_load(problem, tols)[1].scaled(problem.lambda_scale).values
+        mask = v >= prof.K.value
+        if mask.any():
+            u = q_partial_inverse(seq, n_large, v[mask], tols)
+            gap = float(np.mean(np.abs(u - prof.sigma)))
+    zone = GridFunction(grid=problem.grid, values=mask.astype(float))
     return FlatZoneResult(
-        status=ZONE_OK,
-        measure=measure_above(v, prof.K.value),
+        status=ZONE_OK if prof.K.is_finite else ZONE_NOT_APPLICABLE,
+        measure=measure_above(zone, 1.0),
         mean_gap=gap,
-        zone_mask=GridFunction(grid=v.grid, values=mask.astype(float)),
+        zone_mask=zone,
         sigma=prof.sigma,
         K_value=prof.K.value,
-        n_large=n_large,
+        n_large=n_large if prof.K.is_finite else None,
+        detail="" if prof.K.is_finite else f"boundary sum {prof.K.status}",
     )

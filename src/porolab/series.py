@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, InvalidSequence, NoConvergence
-from .params import Tolerances
+from .params import Tolerances, check_order
 
 TAILS = ("repeat-ratio", "power-law")
 
@@ -361,8 +361,7 @@ def q_partial(seq: CoefficientSequence, n: int, s):
     Evaluated as sum b_m t^m on the checked boundary terms (_finite_terms)
     in t = s/sigma.  ``s`` may be a scalar or an array (elementwise).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_order(n)
     arr = np.asarray(s, dtype=float)
     if not np.all((arr >= 0) & (arr < np.inf)):  # NaN fails both
         raise ValueError("s must be nonnegative and finite")
@@ -393,8 +392,7 @@ def q_partial_inverse(
     finite, or Q_n or Q_n' overflows at an iterate, from which no finite
     Newton step leads.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_order(n)
     y_arr = np.asarray(y, dtype=float).ravel()
     if not np.all((y_arr >= 0) & (y_arr < np.inf)):  # NaN fails both
         raise ValueError("y must be nonnegative and finite")
@@ -442,8 +440,7 @@ def q_derivative(seq: CoefficientSequence, s, n: int):
     """Q_n'(s) = sum_{m<=n} m a_m s^(m-1) = sum m b_m t^(m-1) / sigma in
     t = s/sigma: the exact derivative of the partial sum at any s >= 0,
     elementwise for an array ``s``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_order(n)
     arr = np.asarray(s, dtype=float)
     if not np.all((arr >= 0) & (arr < np.inf)):  # NaN fails both
         raise ValueError("s must be nonnegative and finite")

@@ -154,6 +154,18 @@ def test_field_rejects_values_outside_declared_window():
         CoefficientField(grid=g, profiles=(np.full(9, np.inf),))
 
 
+def test_field_rejects_bad_declared_bound():
+    # only the default 0 takes a bound from the profiles
+    g = build_grid(1, n_cells=16)
+    a = np.full(17, 2.0)
+    for name in ("alpha", "beta"):
+        for bound in (-1.0, math.nan, math.inf):
+            with pytest.raises(EllipticityError, match=f"bound {name}="):
+                CoefficientField(g, (a,), **{name: bound})
+    fld = CoefficientField(g, (a,), alpha=1.0)
+    assert (fld.alpha, fld.beta) == (1.0, 2.0)
+
+
 def test_field_rejects_shape_mismatch():
     g = build_grid(1, n_cells=8)
     with pytest.raises(EllipticityError):
@@ -417,8 +429,9 @@ def test_problem_rejects_negative_data():
 def test_problem_rejects_nonpositive_lambda():
     g = build_grid(1, n_cells=8)
     f = GridFunction(grid=g, values=np.ones(g.node_shape))
-    with pytest.raises(ConfigError):
-        EllipticProblem(grid=g, field=constant_field(g), f=f, lambda_scale=0.0)
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            EllipticProblem(grid=g, field=constant_field(g), f=f, lambda_scale=lam)
 
 
 def test_problem_rhs_scales_data():

@@ -1,15 +1,20 @@
 """Tolerance bundle validation and the public package surface."""
 
 import ast
+import contextlib
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+import io
+import json
 import math
 from pathlib import Path
 
 import pytest
 
 import porolab
+from porolab.cli import entry
 from porolab.errors import ConfigError, PorolabError
 from porolab.params import Tolerances
 from porolab.pipeline import ApproximationRun
@@ -137,6 +142,33 @@ def test_traced_names_resolve():
     # the result fields that the tracer counts after a call returns
     assert "sup_history" in {f.name for f in dataclasses.fields(ApproximationRun)}
     assert "iterations" in {f.name for f in dataclasses.fields(EigenPair)}
+
+
+def test_every_traced_name_is_called(tmp_path):
+    # each layer the benchmark times must still run in some command: the four
+    # commands of one golden case call every traced name and fire both CG
+    # counters
+    root = Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracer", root / "perfbench" / "tracer.py"
+    )
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    golden = root / "tests" / "golden"
+    expected = json.loads((golden / "zeta3-line-flat.expected.json").read_text())
+    tracer = tracer_mod.Tracer()
+    roots = set()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        for command, case in expected.items():
+            span = tracer.open(tracer_mod.COMMAND_PREFIX + command)
+            argv = [command, "--config", str(golden / "zeta3-line-flat.ini"), *case["args"]]
+            assert entry([*argv, "--out", str(tmp_path / f"{command}.out")]) == 0
+            tracer.close(span)
+            roots.add(span)
+    totals = tracer.totals(roots)
+    silent = [name for _, _, name, _ in tracer_mod.TARGETS if not totals.get(f"{name}_calls")]
+    silent += [key for _, key in tracer_mod.CG_TARGETS if not totals.get(key)]
+    assert silent == []
 
 
 def test_private_series_names_stay_in_series():

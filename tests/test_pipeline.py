@@ -27,7 +27,8 @@ from porolab.pipeline import (
     solve_unit_load,
     weak_residual,
 )
-from porolab.series import harmonic, log_kind, q_partial_inverse
+from porolab import pipeline
+from porolab.series import harmonic, log_kind, q_derivative, q_partial, q_partial_inverse
 
 
 def _problem(f_value=2.0, lambda_scale=1.0, n=128):
@@ -116,8 +117,25 @@ def test_zero_data_gives_zero_approximation():
 
 
 def test_approximation_rejects_bad_order():
-    with pytest.raises(ValueError):
-        approximate_solution(log_kind(), GridFunction.zero(_problem().grid), 0)
+    # an order is an integer >= 1: not a bool, not a float
+    zero = GridFunction.zero(_problem().grid)
+    small = _problem(f_value=1.0)  # an empty flat zone inverts nothing
+    for n in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            approximate_solution(log_kind(), zero, n)
+        with pytest.raises(ValueError):
+            q_partial(log_kind(), n, 0.5)
+        with pytest.raises(ValueError):
+            q_derivative(log_kind(), 0.5, n)
+        with pytest.raises(ValueError):
+            q_partial_inverse(log_kind(), n, 1.0)
+        with pytest.raises(ValueError, match="n_large"):
+            flat_zone(log_kind(), small, n)
+    # a numpy integer is an order, and comes back as int
+    root = q_partial_inverse(log_kind(), 4, 1.0)
+    assert q_partial_inverse(log_kind(), np.int64(4), 1.0) == root
+    fz = flat_zone(log_kind(), _problem(f_value=32.0), np.int64(8))
+    assert type(fz.n_large) is int and fz.n_large == 8
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +195,9 @@ def test_weak_residual_rejects_boundary_violations(residual_inputs):
 def test_weak_residual_rejects_bad_truncation(residual_inputs):
     p = _problem()
     u = approximate_solution(harmonic(), _aux(p), 2)
-    with pytest.raises(ValueError):
-        weak_residual(harmonic(), p, u, 0, *residual_inputs(p))
+    for M in (0, 2.5, True):
+        with pytest.raises(ValueError, match="M_terms"):
+            weak_residual(harmonic(), p, u, M, *residual_inputs(p))
 
 
 def _weak_residual_by_powers(seq, problem, u, M_terms, test_set, op):
@@ -287,6 +306,12 @@ def test_converge_rejects_bad_schedules():
         converge(harmonic(), p, [2, 2], stop_tol=1e-8)
     with pytest.raises(ConfigError):
         converge(harmonic(), p, [1, 2], stop_tol=0.0)
+    # orders are never rounded: [1, 2.9] is not [1, 2]
+    for schedule in ([1, 2.9], [1.5, 3], [True, 2], [0, 1]):
+        with pytest.raises(ConfigError):
+            converge(harmonic(), p, schedule, stop_tol=1e-8)
+    run = converge(harmonic(), p, np.array([1, 2]), stop_tol=1e-15)
+    assert run.executed == (1, 2) and all(type(n) is int for n in run.executed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +331,52 @@ def test_flat_zone_width_oracle():
     assert fz.n_large == 1000
 
 
-def test_flat_zone_mask_is_indicator():
+def _record_inversions(monkeypatch):
+    """Wrap the inversion that flat_zone calls; return the y of every call."""
+    inputs = []
+
+    def recorded(seq, n, y, tols):
+        inputs.append(np.array(y))
+        return q_partial_inverse(seq, n, y, tols)
+
+    monkeypatch.setattr(pipeline, "q_partial_inverse", recorded)
+    return inputs
+
+
+def test_flat_zone_mask_is_indicator(monkeypatch):
     p = _problem(f_value=32.0)
+    inverted = _record_inversions(monkeypatch)
     fz = flat_zone(log_kind(), p, n_large=100)
     vals = fz.zone_mask.values
     assert set(np.unique(vals)) <= {0.0, 1.0}
     assert vals.sum() * p.grid.cell_volume == pytest.approx(fz.measure)
+    # only the zone's nodes are inverted, and u_n there is the full-grid u_n
+    v = _aux(p)
+    zone = v.values >= fz.K_value
+    assert 0 < zone.sum() < zone.size
+    np.testing.assert_array_equal(vals, zone)
+    assert len(inverted) == 1
+    np.testing.assert_array_equal(inverted[0], v.values[zone])
+    u = approximate_solution(log_kind(), v, 100)
+    assert fz.mean_gap == float(np.mean(np.abs(u.values[zone] - fz.sigma)))
 
 
-def test_flat_zone_empty_for_small_load():
+def test_flat_zone_empty_for_small_load(monkeypatch):
     p = _problem(f_value=1.0)
+    inverted = _record_inversions(monkeypatch)
     fz = flat_zone(log_kind(), p, n_large=50)
     assert fz.status == ZONE_OK
     assert fz.measure == 0.0 and fz.mean_gap == 0.0
+    assert inverted == []
+    assert not np.any(fz.zone_mask.values)
 
 
 def test_flat_zone_not_applicable_without_finite_k():
-    fz = flat_zone(harmonic(), _problem(), n_large=10)
+    p = _problem()
+    fz = flat_zone(harmonic(), p, n_large=10)
     assert fz.status == ZONE_NOT_APPLICABLE
     assert "divergent" in fz.detail
-    assert fz.zone_mask is None
+    assert fz.zone_mask.grid == p.grid and not np.any(fz.zone_mask.values)
 
 
 # ---------------------------------------------------------------------------
